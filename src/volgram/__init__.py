@@ -1,9 +1,10 @@
 """Volume-price distribution fitting and Langevin reconstruction toolkit."""
 
-from .distributions import (ALL_KINDS, ModelKind, ModelParams, analytic_moments,
-                            cdf, initial_guess, pdf, sample)
-from .fitting import (EmpiricalCDF, ErrorSummary, FitResult, empirical_cdf,
-                      error_summary, fit_cdf, fit_window_all_models)
+from .distributions import (ALL_KINDS, EmpiricalCDF, ModelKind, ModelParams,
+                            analytic_moments, cdf, empirical_cdf, initial_guess,
+                            pdf, sample)
+from .fitting import (ErrorSummary, FitResult, error_summary, fit_cdf,
+                      fit_window_all_models)
 from .kramers_moyal import (ConditionalMoments, KMCoefficients,
                             MarkovTestResult, ParamSeries, conditional_moments,
                             estimate_measurement_noise, km_estimate,

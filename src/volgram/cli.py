@@ -17,8 +17,10 @@ All file formats carry ``"format_version": 1``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,13 +28,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fitting, kramers_moyal as km_mod, langevin, market_data
+from . import (distributions as dist, fitting, kramers_moyal as km_mod,
+               langevin, market_data)
 from .distributions import ALL_KINDS, ModelKind
 from .errors import DataError, NumericalError, VolgramError
 
 log = logging.getLogger("volgram")
 
 FORMAT_VERSION = 1
+
+_FIT_CHUNK = 16     # windows handed to a fit worker at a time
+# FitResult fields stored in a fit row, after phi and theta
+_FIT_FIELDS = ("rel_err_phi", "rel_err_theta", "rss", "converged", "iterations")
 
 
 class UsageError(Exception):
@@ -57,6 +64,14 @@ def _write_json(path: Path, payload: dict) -> None:
 def _read_json(path: Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_jsonl(path: Path, what: str) -> list[dict]:
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    if not rows:
+        raise DataError(f"no {what} in {path}")
+    return rows
 
 
 def _parse_models(spec: str | None) -> tuple[ModelKind, ...]:
@@ -103,17 +118,9 @@ def _fit_one(args) -> dict:
     results = fitting.fit_window_all_models(
         window.samples, weighted=weighted,
         kinds=tuple(ModelKind(k) for k in kinds))
-    models = {}
-    for kind, fr in results.items():
-        models[kind.value] = {
-            "phi": fr.params.phi,
-            "theta": fr.params.theta,
-            "rel_err_phi": fr.rel_err_phi,
-            "rel_err_theta": fr.rel_err_theta,
-            "rss": fr.rss,
-            "converged": fr.converged,
-            "iterations": fr.iterations,
-        }
+    models = {kind.value: {"phi": fr.params.phi, "theta": fr.params.theta,
+                           **{key: getattr(fr, key) for key in _FIT_FIELDS}}
+              for kind, fr in results.items()}
     return {"format_version": FORMAT_VERSION,
             "window_start": window.window_start,
             "window_len": window.window_len,
@@ -131,16 +138,20 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_size(jobs: int, n_windows: int) -> int:
+    """Fit workers: no more than asked for, than CPUs, or than chunks."""
+    return min(jobs, os.cpu_count() or 1, math.ceil(n_windows / _FIT_CHUNK))
+
+
 def run_fit(windows_path: Path, output_path: Path,
-            kinds: tuple[ModelKind, ...], weighted: bool, jobs: int) -> int:
-    with open(windows_path, "r", encoding="utf-8") as fh:
-        window_dicts = [json.loads(line) for line in fh if line.strip()]
-    if not window_dicts:
-        raise DataError(f"no windows in {windows_path}")
-    tasks = [(d, [k.value for k in kinds], weighted) for d in window_dicts]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_fit_one, tasks, chunksize=16))
+            kinds: tuple[ModelKind, ...], weighted: bool, jobs: int) -> list[dict]:
+    """Fit every window of a windows JSONL; write and return the fit rows."""
+    tasks = [(d, [k.value for k in kinds], weighted)
+             for d in _read_jsonl(windows_path, "windows")]
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_fit_one, tasks, chunksize=_FIT_CHUNK))
     else:
         rows = [_fit_one(t) for t in tasks]
     output_path.parent.mkdir(parents=True, exist_ok=True)
@@ -150,14 +161,6 @@ def run_fit(windows_path: Path, output_path: Path,
     n_bad = sum(0 if all(m["converged"] for m in row["models"].values()) else 1
                 for row in rows)
     log.info("fit: %d windows, %d with a non-converged model", len(rows), n_bad)
-    return len(rows)
-
-
-def _read_fit_rows(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    if not rows:
-        raise DataError(f"no fit rows in {path}")
     return rows
 
 
@@ -169,9 +172,7 @@ def _results_from_rows(rows: list[dict]) -> list[dict[ModelKind, fitting.FitResu
             kind = ModelKind(name)
             per[kind] = fitting.FitResult(
                 params=fitting.ModelParams(kind, m["phi"], m["theta"]),
-                rel_err_phi=m["rel_err_phi"], rel_err_theta=m["rel_err_theta"],
-                rss=m["rss"], converged=m["converged"],
-                iterations=m["iterations"])
+                **{key: m[key] for key in _FIT_FIELDS})
         out.append(per)
     return out
 
@@ -212,7 +213,7 @@ def _series_from_args(args) -> km_mod.ParamSeries:
                                   values=np.asarray(doc["values"]),
                                   dt=float(doc.get("dt", 1.0)),
                                   gaps=np.asarray(doc.get("gaps", []), dtype=int))
-    rows = _read_fit_rows(Path(args.input))
+    rows = _read_jsonl(Path(args.input), "fit rows")
     return series_from_fit_rows(rows, ModelKind(args.model), args.param)
 
 
@@ -246,9 +247,9 @@ def summary_payload(summary: fitting.ErrorSummary) -> dict:
 
 
 def km_payload(moments: km_mod.ConditionalMoments,
-               km: km_mod.KMCoefficients,
-               markov: km_mod.MarkovTestResult | None) -> dict:
-    payload = {
+               km: km_mod.KMCoefficients) -> dict:
+    """The km.json report; the pipeline fills in ``markov``."""
+    return {
         "bins": km.bin_centers.tolist(),
         "counts": km.counts.tolist(),
         "M1": moments.m1.tolist(),
@@ -266,12 +267,6 @@ def km_payload(moments: km_mod.ConditionalMoments,
         "tau_fit_range": list(km.tau_fit_range),
         "markov": None,
     }
-    if markov is not None:
-        payload["markov"] = {"distance": markov.distance,
-                             "threshold": markov.threshold,
-                             "pass": markov.passed,
-                             "n_cells": markov.n_cells}
-    return payload
 
 
 # -- plot data -------------------------------------------------------------
@@ -296,10 +291,10 @@ def emit_plotdata(outdir: Path,
     header-only files.
     """
     written = []
+    names = [k.value for k in ALL_KINDS]
 
     if windows is not None and fit_rows is not None:
         path = outdir / "cdf-fit.csv"
-        names = [k.value for k in ALL_KINDS]
         header = ["s", "F_empirical"] + [f"F_{n}" for n in names]
         rows = []
         if windows and fit_rows:
@@ -312,7 +307,6 @@ def emit_plotdata(outdir: Path,
                 if entry is None or not np.isfinite(entry["phi"]):
                     cols.append(np.full(ecdf.s.size, np.nan))
                 else:
-                    from . import distributions as dist
                     params = fitting.ModelParams(ModelKind(name),
                                                  entry["phi"], entry["theta"])
                     cols.append(np.asarray(dist.cdf(params, ecdf.s)))
@@ -323,7 +317,6 @@ def emit_plotdata(outdir: Path,
 
     if fit_rows is not None:
         path = outdir / "param-series.csv"
-        names = [k.value for k in ALL_KINDS]
         header = ["window_start"]
         for n in names:
             header += [f"phi_{n}", f"theta_{n}"]
@@ -342,7 +335,6 @@ def emit_plotdata(outdir: Path,
 
     if summary is not None:
         path = outdir / "relerr-hist.csv"
-        names = [k.value for k in ALL_KINDS]
         header = ["bin_index"]
         for n in names:
             header += [f"phi_edge_{n}", f"phi_count_{n}",
@@ -388,66 +380,83 @@ def emit_plotdata(outdir: Path,
     return written
 
 
-# -- subcommand drivers ----------------------------------------------------
+# -- stages ----------------------------------------------------------------
 
-def _cmd_ingest(args) -> int:
-    parsed = market_data.parse_quotes(Path(args.input),
-                                      _parse_column_map(args.column_map))
+def _ingest(input_path: Path, output_path: Path, window_len: float,
+            session_filter: bool, min_companies: int,
+            column_map: str | None) -> None:
+    parsed = market_data.parse_quotes(input_path, _parse_column_map(column_map))
     log.info("ingest: %d records, %d malformed rows",
              len(parsed.records), parsed.n_malformed)
     built = market_data.build_windows(
-        parsed.records, window_len=args.window_len,
-        session_filter=args.session_filter,
-        min_companies=args.min_companies)
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+        parsed.records, window_len=window_len,
+        session_filter=session_filter, min_companies=min_companies)
+    output_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(output_path, "w", encoding="utf-8") as fh:
         market_data.write_windows_jsonl(built.windows, fh)
     log.info("ingest: wrote %d windows (%d session-filtered, %d too small)",
              len(built.windows), built.n_session_filtered,
              built.n_below_min_companies)
+
+
+def _summary(rows: list[dict], hist_bins: int) -> dict:
+    summary = fitting.error_summary(_results_from_rows(rows), hist_bins=hist_bins)
+    return summary_payload(summary)
+
+
+def _km(series: km_mod.ParamSeries, n_bins: int, tau_max: int, min_count: int,
+        tau_range: tuple[int, int]) -> dict:
+    moments = km_mod.conditional_moments(series, n_bins=n_bins, tau_max=tau_max,
+                                         min_count=min_count)
+    return km_payload(moments, km_mod.km_estimate(moments, tau_range))
+
+
+def _markov(series: km_mod.ParamSeries, n_bins: int, lag: int,
+            min_cell_count: int, surrogates: int, percentile: float,
+            seed: int) -> dict:
+    result = km_mod.markov_test(series, n_bins=n_bins, lag=lag,
+                                min_cell_count=min_cell_count,
+                                n_surrogates=surrogates,
+                                threshold_percentile=percentile, seed=seed)
+    return {"distance": result.distance, "threshold": result.threshold,
+            "pass": result.passed, "n_cells": result.n_cells}
+
+
+# -- subcommand drivers ----------------------------------------------------
+
+def _cmd_ingest(args) -> int:
+    _ingest(Path(args.input), Path(args.output), args.window_len,
+            args.session_filter, args.min_companies, args.column_map)
     return 0
 
 
 def _cmd_fit(args) -> int:
     kinds = _parse_models(args.models)
-    jobs = args.jobs if args.jobs else _default_jobs()
-    run_fit(Path(args.input), Path(args.output), kinds, args.weighted, jobs)
+    run_fit(Path(args.input), Path(args.output), kinds, args.weighted,
+            args.jobs or _default_jobs())
     return 0
 
 
 def _cmd_summary(args) -> int:
-    rows = _read_fit_rows(Path(args.input))
-    summary = fitting.error_summary(_results_from_rows(rows),
-                                    hist_bins=args.hist_bins)
-    _write_json(Path(args.output), summary_payload(summary))
+    rows = _read_jsonl(Path(args.input), "fit rows")
+    _write_json(Path(args.output), _summary(rows, args.hist_bins))
     return 0
 
 
 def _cmd_km(args) -> int:
     tau_range = _parse_tau_range(args.tau_fit)
-    series = _series_from_args(args)
-    moments = km_mod.conditional_moments(series, n_bins=args.n_bins,
-                                         tau_max=args.tau_max,
-                                         min_count=args.min_count)
-    km = km_mod.km_estimate(moments, tau_range)
-    _write_json(Path(args.output), km_payload(moments, km, None))
+    report = _km(_series_from_args(args), args.n_bins, args.tau_max,
+                 args.min_count, tau_range)
+    _write_json(Path(args.output), report)
     if args.plotdata:
-        emit_plotdata(Path(args.plotdata),
-                      km_report=km_payload(moments, km, None))
+        emit_plotdata(Path(args.plotdata), km_report=report)
     return 0
 
 
 def _cmd_markov(args) -> int:
-    series = _series_from_args(args)
-    result = km_mod.markov_test(series, n_bins=args.n_bins, lag=args.lag,
-                                min_cell_count=args.min_cell_count,
-                                n_surrogates=args.surrogates,
-                                threshold_percentile=args.percentile,
-                                seed=args.seed)
-    _write_json(Path(args.output), {
-        "distance": result.distance, "threshold": result.threshold,
-        "pass": result.passed, "n_cells": result.n_cells})
+    _write_json(Path(args.output), _markov(
+        _series_from_args(args), args.n_bins, args.lag, args.min_cell_count,
+        args.surrogates, args.percentile, args.seed))
     return 0
 
 
@@ -486,52 +495,35 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     tau_range = _parse_tau_range(args.tau_fit)
+    kinds = _parse_models(args.models)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    windows_path = outdir / "windows.jsonl"
 
-    first_line = ""
     with open(args.input, "r", encoding="utf-8") as fh:
-        first_line = fh.readline().strip()
-    if first_line.startswith("{"):
-        windows_path = Path(args.input)
-    else:
-        ingest_args = argparse.Namespace(
-            input=args.input, output=str(windows_path),
-            window_len=args.window_len, session_filter=args.session_filter,
-            min_companies=args.min_companies, column_map=args.column_map)
-        _cmd_ingest(ingest_args)
+        is_windows = fh.readline().strip().startswith("{")
+    windows_path = Path(args.input) if is_windows else outdir / "windows.jsonl"
+    if not is_windows:
+        _ingest(Path(args.input), windows_path, args.window_len,
+                args.session_filter, args.min_companies, args.column_map)
 
-    fits_path = outdir / "fits.jsonl"
-    kinds = _parse_models(args.models)
-    jobs = args.jobs if args.jobs else _default_jobs()
-    run_fit(windows_path, fits_path, kinds, args.weighted, jobs)
+    rows = run_fit(windows_path, outdir / "fits.jsonl", kinds, args.weighted,
+                   args.jobs or _default_jobs())
+    summary = _summary(rows, args.hist_bins)
+    _write_json(outdir / "summary.json", summary)
 
-    rows = _read_fit_rows(fits_path)
-    summary = fitting.error_summary(_results_from_rows(rows),
-                                    hist_bins=args.hist_bins)
-    _write_json(outdir / "summary.json", summary_payload(summary))
-
-    km_kind = ModelKind(args.model)
-    series = series_from_fit_rows(rows, km_kind, args.param)
-    moments = km_mod.conditional_moments(series, n_bins=args.n_bins,
-                                         tau_max=args.tau_max,
-                                         min_count=args.min_count)
-    km = km_mod.km_estimate(moments, tau_range)
-    markov = km_mod.markov_test(series, n_bins=args.markov_bins,
-                                lag=args.lag,
-                                min_cell_count=args.min_cell_count,
-                                n_surrogates=args.surrogates,
-                                threshold_percentile=args.percentile,
-                                seed=args.seed)
-    _write_json(outdir / "km.json", km_payload(moments, km, markov))
+    series = series_from_fit_rows(rows, ModelKind(args.model), args.param)
+    report = _km(series, args.n_bins, args.tau_max, args.min_count, tau_range)
+    report["markov"] = _markov(series, args.markov_bins, args.lag,
+                               args.min_cell_count, args.surrogates,
+                               args.percentile, args.seed)
+    _write_json(outdir / "km.json", report)
 
     if args.plotdata:
+        # cdf-fit.csv draws on the first window only
         with open(windows_path, "r", encoding="utf-8") as fh:
-            windows = market_data.read_windows_jsonl(fh)
+            windows = market_data.read_windows_jsonl(itertools.islice(fh, 1))
         emit_plotdata(outdir / "plotdata", windows=windows, fit_rows=rows,
-                      summary=summary_payload(summary),
-                      km_report=km_payload(moments, km, markov))
+                      summary=summary, km_report=report)
     return 0
 
 

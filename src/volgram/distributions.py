@@ -1,9 +1,11 @@
-"""The four bi-parametric volume-price models.
+"""The four bi-parametric volume-price models and the empirical CDF.
 
 Each model carries a shape-like parameter ``phi`` and a scale-like
 parameter ``theta`` (for the log-normal, ``phi`` is the log-mean).  PDFs
 are evaluated in log space and exponentiated at the end, which keeps the
-inverse-gamma factor exp(-theta/s) finite for s near zero.
+inverse-gamma factor exp(-theta/s) finite for s near zero.  Everything
+that differs between the models lives in one ``_Model`` record per
+``ModelKind``; the public functions only look the record up.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,9 +44,7 @@ class ModelParams:
             return False
         if self.theta <= 0.0:
             return False
-        if self.kind is ModelKind.LOG_NORMAL:
-            return True
-        return self.phi > 0.0
+        return self.phi > 0.0 or not _MODELS[self.kind].phi_positive
 
 
 @dataclass(frozen=True)
@@ -53,109 +54,32 @@ class Moments:
     variance: float | None
 
 
-def _check_params(params: ModelParams) -> None:
-    if not params.is_valid():
-        raise DomainError(f"invalid parameters for {params.kind}: "
-                          f"phi={params.phi}, theta={params.theta}")
+@dataclass(frozen=True)
+class EmpiricalCDF:
+    """Sorted sample values with plotting-position probabilities."""
+    s: np.ndarray
+    f: np.ndarray
+    n: int
 
 
-def _check_support(s: np.ndarray) -> None:
-    if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-        raise DomainError("model support is s > 0")
+def empirical_cdf(samples) -> EmpiricalCDF:
+    """Empirical CDF with positions F_k = (k - 1/2)/n, k = 1..n.
 
-
-def pdf(params: ModelParams, s):
-    """Probability density at s > 0."""
-    _check_params(params)
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    _check_support(arr)
-    phi, theta = params.phi, params.theta
-    log_s = np.log(arr)
-    if params.kind is ModelKind.GAMMA:
-        log_pdf = (phi - 1.0) * log_s - arr / theta - phi * math.log(theta) - ln_gamma(phi)
-    elif params.kind is ModelKind.INVERSE_GAMMA:
-        log_pdf = phi * math.log(theta) - ln_gamma(phi) - (phi + 1.0) * log_s - theta / arr
-    elif params.kind is ModelKind.LOG_NORMAL:
-        z = (log_s - phi) / theta
-        log_pdf = -log_s - math.log(theta) - _LOG_SQRT_TWO_PI - 0.5 * z * z
-    else:
-        ratio_pow = np.exp(phi * (log_s - math.log(theta)))
-        log_pdf = (math.log(phi) - phi * math.log(theta)
-                   + (phi - 1.0) * log_s - ratio_pow)
-    out = np.exp(log_pdf)
-    return float(out) if scalar else out
-
-
-def cdf(params: ModelParams, s):
-    """Cumulative probability at s > 0.
-
-    Gamma: P(phi, s/theta).  Inverse gamma: Q(phi, theta/s).
-    Log-normal: (1 + erf((ln s - phi) / (theta sqrt(2)))) / 2.
-    Weibull: 1 - exp(-(s/theta)^phi).
+    Tied sample values are collapsed to a single point carrying the
+    largest position, so F stays strictly increasing and never touches
+    0 or 1.
     """
-    _check_params(params)
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    _check_support(arr)
-    phi, theta = params.phi, params.theta
-    if params.kind is ModelKind.GAMMA:
-        out = reg_inc_gamma_lower(phi, arr / theta)
-    elif params.kind is ModelKind.INVERSE_GAMMA:
-        out = reg_inc_gamma_upper(phi, theta / arr)
-    elif params.kind is ModelKind.LOG_NORMAL:
-        out = 0.5 * (1.0 + np.asarray(erf((np.log(arr) - phi) / (theta * math.sqrt(2.0)))))
-    else:
-        out = 1.0 - np.exp(-np.exp(phi * (np.log(arr) - math.log(theta))))
-    out = np.asarray(out)
-    return float(out) if scalar else out
+    arr = np.asarray(samples, dtype=float)
+    if arr.size < 10:
+        raise TooFewSamples(f"need at least 10 samples, got {arr.size}")
+    s = np.sort(arr)
+    n = s.size
+    f = (np.arange(1, n + 1) - 0.5) / n
+    keep = np.r_[s[1:] != s[:-1], True]
+    return EmpiricalCDF(s=s[keep], f=f[keep], n=n)
 
 
-def cdf_grid(kind: ModelKind, phis, thetas, s) -> np.ndarray:
-    """CDF of one model at several parameter pairs over a common grid.
-
-    Returns an array of shape (len(phis), len(s)).  This is the bulk
-    entry point the fitter uses for finite-difference probes.
-    """
-    phi_col = np.asarray(phis, dtype=float).reshape(-1, 1)
-    theta_col = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    if phi_col.shape != theta_col.shape:
-        raise DomainError("phis and thetas must have equal length")
-    if np.any(theta_col <= 0.0) or (kind is not ModelKind.LOG_NORMAL
-                                    and np.any(phi_col <= 0.0)):
-        raise DomainError(f"invalid parameters for {kind}")
-    arr = np.asarray(s, dtype=float).reshape(1, -1)
-    _check_support(arr)
-    if kind is ModelKind.GAMMA:
-        return np.asarray(reg_inc_gamma_lower(phi_col, arr / theta_col))
-    if kind is ModelKind.INVERSE_GAMMA:
-        return np.asarray(reg_inc_gamma_upper(phi_col, theta_col / arr))
-    if kind is ModelKind.LOG_NORMAL:
-        z = (np.log(arr) - phi_col) / (theta_col * math.sqrt(2.0))
-        return 0.5 * (1.0 + np.asarray(erf(z)))
-    return 1.0 - np.exp(-np.exp(phi_col * (np.log(arr) - np.log(theta_col))))
-
-
-def analytic_moments(params: ModelParams) -> Moments:
-    """Mean and variance where they exist (inverse-gamma moments require
-    phi > 1 and phi > 2 respectively)."""
-    _check_params(params)
-    phi, theta = params.phi, params.theta
-    if params.kind is ModelKind.GAMMA:
-        return Moments(phi * theta, phi * theta * theta)
-    if params.kind is ModelKind.INVERSE_GAMMA:
-        mean = theta / (phi - 1.0) if phi > 1.0 else None
-        var = (theta * theta / ((phi - 1.0) ** 2 * (phi - 2.0))
-               if phi > 2.0 else None)
-        return Moments(mean, var)
-    if params.kind is ModelKind.LOG_NORMAL:
-        mean = math.exp(phi + 0.5 * theta * theta)
-        var = (math.exp(theta * theta) - 1.0) * math.exp(2.0 * phi + theta * theta)
-        return Moments(mean, var)
-    g1 = math.exp(ln_gamma(1.0 + 1.0 / phi))
-    g2 = math.exp(ln_gamma(1.0 + 2.0 / phi))
-    return Moments(theta * g1, theta * theta * (g2 - g1 * g1))
-
+# -- the model table ---------------------------------------------------------
 
 def _gamma_draws(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
     """Unit-scale gamma variates by squeeze-based rejection.
@@ -189,6 +113,170 @@ def _gamma_draws(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
     return out
 
 
+def _inverse_gamma_moments(phi, theta):
+    mean = theta / (phi - 1.0) if phi > 1.0 else None
+    var = (theta * theta / ((phi - 1.0) ** 2 * (phi - 2.0))
+           if phi > 2.0 else None)
+    return Moments(mean, var)
+
+
+def _inverse_gamma_guess(arr, m, v):
+    phi = m * m / v + 2.0
+    return phi, m * (phi - 1.0)
+
+
+def _log_normal_log_pdf(phi, theta, s):
+    log_s = np.log(s)
+    z = (log_s - phi) / theta
+    return -log_s - math.log(theta) - _LOG_SQRT_TWO_PI - 0.5 * z * z
+
+
+def _log_normal_guess(arr, m, v):
+    logs = np.log(arr)
+    spread = float(logs.std())
+    if spread <= 0.0:
+        raise DegenerateSample("log-sample variance is zero")
+    return float(logs.mean()), spread
+
+
+def _weibull_log_pdf(phi, theta, s):
+    log_s = np.log(s)
+    ratio_pow = np.exp(phi * (log_s - math.log(theta)))
+    return math.log(phi) - phi * math.log(theta) + (phi - 1.0) * log_s - ratio_pow
+
+
+def _weibull_moments(phi, theta):
+    g1 = math.exp(ln_gamma(1.0 + 1.0 / phi))
+    g2 = math.exp(ln_gamma(1.0 + 2.0 / phi))
+    return Moments(theta * g1, theta * theta * (g2 - g1 * g1))
+
+
+def _weibull_guess(arr, m, v):
+    ecdf = empirical_cdf(arr)
+    y = np.log(-np.log1p(-ecdf.f))
+    x = np.log(ecdf.s)
+    xm, ym = x.mean(), y.mean()
+    denom = float(((x - xm) ** 2).sum())
+    if denom <= 0.0:
+        raise DegenerateSample("sample spread too small for the Weibull regression")
+    slope = float(((x - xm) * (y - ym)).sum()) / denom
+    intercept = ym - slope * xm
+    return slope, math.exp(-intercept / slope)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """Everything that differs between the model kinds.
+
+    ``cdf`` takes phi and theta as columns broadcast against a row of s,
+    so one call covers a whole probe grid; it looks the special functions
+    up as module globals when called.  The other entries take scalar
+    parameters.
+    """
+    cdf: Callable          # (phi, theta, s) -> F
+    log_pdf: Callable      # (phi, theta, s) -> ln f
+    moments: Callable      # (phi, theta) -> Moments
+    draw: Callable         # (rng, phi, theta, n) -> n samples
+    guess: Callable        # (samples, mean, variance) -> (phi, theta)
+    phi_positive: bool = True
+
+
+_MODELS = {
+    ModelKind.GAMMA: _Model(
+        cdf=lambda phi, theta, s: reg_inc_gamma_lower(phi, s / theta),
+        log_pdf=lambda phi, theta, s: ((phi - 1.0) * np.log(s) - s / theta
+                                       - phi * math.log(theta) - ln_gamma(phi)),
+        moments=lambda phi, theta: Moments(phi * theta, phi * theta * theta),
+        draw=lambda rng, phi, theta, n: theta * _gamma_draws(rng, phi, n),
+        guess=lambda arr, m, v: (m * m / v, v / m)),
+    ModelKind.INVERSE_GAMMA: _Model(
+        cdf=lambda phi, theta, s: reg_inc_gamma_upper(phi, theta / s),
+        log_pdf=lambda phi, theta, s: (phi * math.log(theta) - ln_gamma(phi)
+                                       - (phi + 1.0) * np.log(s) - theta / s),
+        moments=_inverse_gamma_moments,
+        # reciprocal of Gamma(phi, scale 1/theta)
+        draw=lambda rng, phi, theta, n: theta / _gamma_draws(rng, phi, n),
+        guess=_inverse_gamma_guess),
+    ModelKind.LOG_NORMAL: _Model(
+        cdf=lambda phi, theta, s: 0.5 * (1.0 + np.asarray(
+            erf((np.log(s) - phi) / (theta * math.sqrt(2.0))))),
+        log_pdf=_log_normal_log_pdf,
+        moments=lambda phi, theta: Moments(
+            math.exp(phi + 0.5 * theta * theta),
+            (math.exp(theta * theta) - 1.0) * math.exp(2.0 * phi + theta * theta)),
+        draw=lambda rng, phi, theta, n: np.exp(phi + theta * rng.standard_normal(n)),
+        guess=_log_normal_guess,
+        phi_positive=False),
+    ModelKind.WEIBULL: _Model(
+        cdf=lambda phi, theta, s: 1.0 - np.exp(-np.exp(phi * (np.log(s) - np.log(theta)))),
+        log_pdf=_weibull_log_pdf,
+        moments=_weibull_moments,
+        draw=lambda rng, phi, theta, n: theta * rng.standard_exponential(n) ** (1.0 / phi),
+        guess=_weibull_guess),
+}
+
+
+def _check_params(params: ModelParams) -> None:
+    if not params.is_valid():
+        raise DomainError(f"invalid parameters for {params.kind}: "
+                          f"phi={params.phi}, theta={params.theta}")
+
+
+def _check_support(s: np.ndarray) -> None:
+    if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
+        raise DomainError("model support is s > 0")
+
+
+def pdf(params: ModelParams, s):
+    """Probability density at s > 0."""
+    _check_params(params)
+    arr = np.asarray(s, dtype=float)
+    _check_support(arr)
+    out = np.exp(_MODELS[params.kind].log_pdf(params.phi, params.theta, arr))
+    return float(out) if arr.ndim == 0 else out
+
+
+def cdf(params: ModelParams, s):
+    """Cumulative probability at s > 0.
+
+    Gamma: P(phi, s/theta).  Inverse gamma: Q(phi, theta/s).
+    Log-normal: (1 + erf((ln s - phi) / (theta sqrt(2)))) / 2.
+    Weibull: 1 - exp(-(s/theta)^phi).
+    """
+    _check_params(params)
+    arr = np.asarray(s, dtype=float)
+    _check_support(arr)
+    out = _MODELS[params.kind].cdf(np.array([[params.phi]]),
+                                   np.array([[params.theta]]), arr.reshape(1, -1))
+    out = np.asarray(out).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def cdf_grid(kind: ModelKind, phis, thetas, s) -> np.ndarray:
+    """CDF of one model at several parameter pairs over a common grid.
+
+    Returns an array of shape (len(phis), len(s)).  This is the bulk
+    entry point the fitter uses for finite-difference probes.
+    """
+    phi_col = np.asarray(phis, dtype=float).reshape(-1, 1)
+    theta_col = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    if phi_col.shape != theta_col.shape:
+        raise DomainError("phis and thetas must have equal length")
+    model = _MODELS[kind]
+    if np.any(theta_col <= 0.0) or (model.phi_positive and np.any(phi_col <= 0.0)):
+        raise DomainError(f"invalid parameters for {kind}")
+    arr = np.asarray(s, dtype=float).reshape(1, -1)
+    _check_support(arr)
+    return np.asarray(model.cdf(phi_col, theta_col, arr))
+
+
+def analytic_moments(params: ModelParams) -> Moments:
+    """Mean and variance where they exist (inverse-gamma moments require
+    phi > 1 and phi > 2 respectively)."""
+    _check_params(params)
+    return _MODELS[params.kind].moments(params.phi, params.theta)
+
+
 def sample(params: ModelParams, n: int, seed) -> np.ndarray:
     """n deterministic draws from the model, all strictly positive.
 
@@ -199,24 +287,7 @@ def sample(params: ModelParams, n: int, seed) -> np.ndarray:
     if n < 1:
         raise DomainError("sample size must be >= 1")
     rng = np.random.default_rng(seed)
-    phi, theta = params.phi, params.theta
-    if params.kind is ModelKind.GAMMA:
-        return theta * _gamma_draws(rng, phi, n)
-    if params.kind is ModelKind.INVERSE_GAMMA:
-        # reciprocal of Gamma(phi, scale 1/theta)
-        return theta / _gamma_draws(rng, phi, n)
-    if params.kind is ModelKind.LOG_NORMAL:
-        return np.exp(phi + theta * rng.standard_normal(n))
-    return theta * rng.standard_exponential(n) ** (1.0 / phi)
-
-
-def _plotting_positions(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (k - 1/2)/n positions, ties collapsed to the largest F
-    s = np.sort(samples)
-    n = s.size
-    f = (np.arange(1, n + 1) - 0.5) / n
-    keep = np.r_[s[1:] != s[:-1], True]
-    return s[keep], f[keep]
+    return _MODELS[params.kind].draw(rng, params.phi, params.theta, n)
 
 
 def initial_guess(kind: ModelKind, samples) -> ModelParams:
@@ -233,28 +304,8 @@ def initial_guess(kind: ModelKind, samples) -> ModelParams:
     v = float(arr.var())
     if v <= 0.0:
         raise DegenerateSample("sample variance is zero")
-    if kind is ModelKind.GAMMA:
-        return ModelParams(kind, m * m / v, v / m)
-    if kind is ModelKind.INVERSE_GAMMA:
-        phi = m * m / v + 2.0
-        return ModelParams(kind, phi, m * (phi - 1.0))
-    if kind is ModelKind.LOG_NORMAL:
-        logs = np.log(arr)
-        spread = float(logs.std())
-        if spread <= 0.0:
-            raise DegenerateSample("log-sample variance is zero")
-        return ModelParams(kind, float(logs.mean()), spread)
-    s, f = _plotting_positions(arr)
-    y = np.log(-np.log1p(-f))
-    x = np.log(s)
-    xm, ym = x.mean(), y.mean()
-    denom = float(((x - xm) ** 2).sum())
-    if denom <= 0.0:
-        raise DegenerateSample("sample spread too small for the Weibull regression")
-    slope = float(((x - xm) * (y - ym)).sum()) / denom
-    intercept = ym - slope * xm
-    return ModelParams(kind, slope, math.exp(-intercept / slope))
+    phi, theta = _MODELS[kind].guess(arr, m, v)
+    return ModelParams(kind, phi, theta)
 
 
-ALL_KINDS = (ModelKind.GAMMA, ModelKind.INVERSE_GAMMA,
-             ModelKind.LOG_NORMAL, ModelKind.WEIBULL)
+ALL_KINDS = tuple(ModelKind)

@@ -70,13 +70,5 @@ class NonConvergence(NumericalError):
     """Series or continued-fraction iteration hit its cap."""
 
 
-class SingularJacobian(NumericalError):
-    """Normal equations singular; parameter errors undefined."""
-
-
-class DomainEscape(NumericalError):
-    """Optimizer repeatedly pushed parameters out of the model domain."""
-
-
 class NoConvergedFits(NumericalError):
     """A model has no converged fits to summarize."""

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from .distributions import ALL_KINDS, ModelKind, ModelParams
-from .errors import NoConvergedFits, TooFewSamples, VolgramError
+from .distributions import (ALL_KINDS, EmpiricalCDF, ModelKind, ModelParams,
+                            empirical_cdf)
+from .errors import NoConvergedFits, VolgramError
 
 _PARAM_FLOOR = 1e-12
 _STEP_TOL = 1e-9
@@ -25,14 +26,6 @@ _MAX_ITER = 200
 _MAX_CLAMPS = 20
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
-
-
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Sorted sample values with plotting-position probabilities."""
-    s: np.ndarray
-    f: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -65,27 +58,9 @@ class ErrorSummary:
     n_failed: int
 
 
-def empirical_cdf(samples) -> EmpiricalCDF:
-    """Empirical CDF with positions F_k = (k - 1/2)/n, k = 1..n.
-
-    Tied sample values are collapsed to a single point carrying the
-    largest position, so F stays strictly increasing and never touches
-    0 or 1.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < 10:
-        raise TooFewSamples(f"need at least 10 samples, got {arr.size}")
-    s = np.sort(arr)
-    n = s.size
-    f = (np.arange(1, n + 1) - 0.5) / n
-    keep = np.r_[s[1:] != s[:-1], True]
-    return EmpiricalCDF(s=s[keep], f=f[keep], n=n)
-
-
 def _lower_bounds(kind: ModelKind) -> np.ndarray:
-    if kind is ModelKind.LOG_NORMAL:
-        return np.array([-np.inf, _PARAM_FLOOR])
-    return np.array([_PARAM_FLOOR, _PARAM_FLOOR])
+    phi_floor = _PARAM_FLOOR if dist._MODELS[kind].phi_positive else -np.inf
+    return np.array([phi_floor, _PARAM_FLOOR])
 
 
 def _residual(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF,

@@ -96,6 +96,18 @@ def _gap_prefix(series: ParamSeries) -> np.ndarray:
     return np.cumsum(flags)
 
 
+def _bin_index(v: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of n_bins equal-width bins over the range of v, and the bin
+    of each value."""
+    lo, hi = float(v.min()), float(v.max())
+    if hi <= lo:
+        # constant series: give the grid a token width so the single
+        # populated bin reports its (zero) moments
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, n_bins + 1)
+    return edges, np.clip(np.searchsorted(edges, v, side="right") - 1, 0, n_bins - 1)
+
+
 def conditional_moments(series: ParamSeries, n_bins: int = 50,
                         tau_max: int = 10, min_count: int = 100,
                         ) -> ConditionalMoments:
@@ -108,14 +120,8 @@ def conditional_moments(series: ParamSeries, n_bins: int = 50,
         raise SeriesTooShort(f"need at least {10 * n_bins} points for "
                              f"{n_bins} bins, got {n}")
     v = series.values
-    lo, hi = float(v.min()), float(v.max())
-    if hi <= lo:
-        # constant series: give the grid a token width so the single
-        # populated bin reports its (zero) moments
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges, idx = _bin_index(v, n_bins)
     width = edges[1] - edges[0]
-    idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, n_bins - 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     prefix = _gap_prefix(series)
 
@@ -234,21 +240,18 @@ def km_estimate(moments: ConditionalMoments,
 def estimate_measurement_noise(moments: ConditionalMoments,
                                tau_fit_range: tuple[int, int] = (1, 5)) -> float:
     """Noise amplitude sqrt(a2/2) from the extrapolated tau -> 0 intercept
-    of M2 at the bin containing the series mean."""
+    of M2 at the bin containing the series mean.
+
+    Unlike ``km_estimate``, which falls back to the nearest reported bin,
+    this raises when the bin containing the mean was not reported.
+    """
     centers = moments.bin_centers
     half = 0.5 * moments.bin_width
     mean_bin = _mean_bin_index(moments)
     if abs(centers[mean_bin] - moments.mean_value) > half * (1.0 + 1e-9):
         raise MeanBinUnpopulated(
             "the bin containing the series mean fell below min_count")
-    tau_lo, tau_hi = int(tau_fit_range[0]), int(tau_fit_range[1])
-    if tau_lo < 1 or tau_hi > int(moments.taus[-1]) or tau_hi - tau_lo + 1 < 3:
-        raise InsufficientTauPoints(
-            f"need >= 3 lag points inside [1, {int(moments.taus[-1])}]")
-    sel = slice(tau_lo - 1, tau_hi)
-    taus = moments.taus[sel].astype(float)
-    a2, _, _ = _line_fit(moments.m2[mean_bin:mean_bin + 1, sel], taus)
-    return float(np.sqrt(max(float(a2[0]), 0.0) / 2.0))
+    return km_estimate(moments, tau_fit_range).noise_sigma
 
 
 @dataclass(frozen=True)
@@ -299,12 +302,7 @@ def markov_test(series: ParamSeries, n_bins: int = 20, lag: int = 1,
     if n < 10 * n_bins or n < 2 * lag + 1:
         raise SeriesTooShort(f"series of length {n} too short for the "
                              f"{n_bins}-bin Markov test")
-    v = series.values
-    lo, hi = float(v.min()), float(v.max())
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, n_bins - 1)
+    _, idx = _bin_index(series.values, n_bins)
     prefix = _gap_prefix(series)
     valid = (prefix[2 * lag:] - prefix[:-2 * lag]) == 0
 

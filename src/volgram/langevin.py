@@ -98,46 +98,31 @@ def simulate_langevin(spec: LangevinSpec) -> ParamSeries:
     rng = np.random.default_rng(spec.seed)
     n = spec.n_steps
     noise = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    values = np.empty(n)
-    x = float(spec.initial)
-    values[0] = x
     dt = spec.dt
-
     if spec.drift_table is None:
-        slope = float(spec.drift_slope)
-        fp = float(spec.fixed_point)
-        if spec.diffusion is not None:
-            step_scale = math.sqrt(2.0 * spec.diffusion * dt)
-            steps = (noise * step_scale).tolist()
-            for i, eta in enumerate(steps):
-                x += slope * (x - fp) * dt + eta
-                values[i + 1] = x
-            return ParamSeries(times=np.arange(n) * dt, values=values, dt=dt)
-        d_grid, d_vals = (np.asarray(spec.diffusion_table[0], dtype=float),
-                          np.asarray(spec.diffusion_table[1], dtype=float))
-        for i in range(n - 1):
-            d2 = float(np.interp(x, d_grid, d_vals))
-            x += slope * (x - fp) * dt + math.sqrt(2.0 * d2 * dt) * noise[i]
-            values[i + 1] = x
-        return ParamSeries(times=np.arange(n) * dt, values=values, dt=dt)
-
-    g_grid, g_vals = (np.asarray(spec.drift_table[0], dtype=float),
-                      np.asarray(spec.drift_table[1], dtype=float))
-    if spec.diffusion is not None:
+        slope, fp = float(spec.drift_slope), float(spec.fixed_point)
+        drift = lambda x: slope * (x - fp)
+    else:
+        drift = _interpolant(spec.drift_table)
+    if spec.diffusion_table is None:
         const_scale = math.sqrt(2.0 * spec.diffusion * dt)
-        for i in range(n - 1):
-            d1 = float(np.interp(x, g_grid, g_vals))
-            x += d1 * dt + const_scale * noise[i]
-            values[i + 1] = x
-        return ParamSeries(times=np.arange(n) * dt, values=values, dt=dt)
-    d_grid, d_vals = (np.asarray(spec.diffusion_table[0], dtype=float),
-                      np.asarray(spec.diffusion_table[1], dtype=float))
-    for i in range(n - 1):
-        d1 = float(np.interp(x, g_grid, g_vals))
-        d2 = float(np.interp(x, d_grid, d_vals))
-        x += d1 * dt + math.sqrt(2.0 * d2 * dt) * noise[i]
-        values[i + 1] = x
-    return ParamSeries(times=np.arange(n) * dt, values=values, dt=dt)
+        scale = lambda x: const_scale
+    else:
+        d2 = _interpolant(spec.diffusion_table)
+        scale = lambda x: math.sqrt(2.0 * d2(x) * dt)
+    x = float(spec.initial)
+    path = [x]
+    for xi in noise.tolist():
+        x += drift(x) * dt + scale(x) * xi
+        path.append(x)
+    return ParamSeries(times=np.arange(n) * dt, values=np.array(path), dt=dt)
+
+
+def _interpolant(table):
+    """Linear interpolation in a ``(grid, values)`` table, ends clamped."""
+    grid = np.asarray(table[0], dtype=float)
+    vals = np.asarray(table[1], dtype=float)
+    return lambda x: float(np.interp(x, grid, vals))
 
 
 def add_measurement_noise(series: ParamSeries, sigma_m: float,

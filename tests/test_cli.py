@@ -2,13 +2,14 @@
 
 import csv
 import json
+import os
 from datetime import datetime
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from volgram.cli import _default_jobs, emit_plotdata, main
+from volgram.cli import _default_jobs, _pool_size, emit_plotdata, main
 
 NY = ZoneInfo("America/New_York")
 
@@ -179,9 +180,16 @@ def test_pipeline_matches_individual_stages(tmp_path):
                 + opts[2:]) == 0
     pipe_km = json.loads((pipe_dir / "km.json").read_text())
     stage_km = json.loads(km_doc.read_text())
-    assert stage_km["D1"] == pipe_km["D1"]
-    assert stage_km["phi_f"] == pipe_km["phi_f"]
-    assert pipe_km["markov"] is not None
+    pipe_markov = pipe_km.pop("markov")
+    assert stage_km.pop("markov") is None
+    assert stage_km == pipe_km
+
+    markov_doc = tmp_path / "stage_markov.json"
+    assert main(["markov", "--input", str(fits), "--output", str(markov_doc),
+                 "--n-bins", "4", "--min-cell-count", "5", "--seed", "11"]) == 0
+    stage_markov = json.loads(markov_doc.read_text())
+    del stage_markov["format_version"]
+    assert stage_markov == pipe_markov
 
 
 def test_pipeline_plotdata_files(tmp_path):
@@ -220,6 +228,17 @@ def test_jobs_env_fallback(monkeypatch):
     assert _default_jobs() == 3
     monkeypatch.delenv("VOLGRAM_JOBS")
     assert _default_jobs() >= 1
+
+
+def test_fit_pool_is_capped(monkeypatch):
+    # computed only: no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_size(64, 10**6) == 4       # by the CPUs
+    assert _pool_size(64, 17) == 2          # by the 16-window chunks
+    assert _pool_size(64, 16) == 1
+    assert _pool_size(3, 10**6) == 3        # by the request
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(64, 10**6) == 1
 
 
 def test_fit_parallel_matches_serial(tmp_path):

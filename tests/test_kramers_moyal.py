@@ -172,6 +172,7 @@ def test_noise_sigma_added_noise_recovered():
     mom = conditional_moments(noisy, n_bins=1, tau_max=5, min_count=100)
     est = estimate_measurement_noise(mom, (1, 3))
     assert est == pytest.approx(5e-3, rel=0.10)
+    assert est == km_estimate(mom, (1, 3)).noise_sigma
 
 
 def test_mean_bin_unpopulated_raises():
