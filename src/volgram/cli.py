@@ -113,11 +113,10 @@ def _parse_column_map(spec: str | None) -> dict[str, str] | None:
 # -- fit stage -------------------------------------------------------------
 
 def _fit_one(args) -> dict:
-    window_dict, kinds, weighted = args
+    window_dict, kinds = args
     window = market_data.window_from_dict(window_dict)
     results = fitting.fit_window_all_models(
-        window.samples, weighted=weighted,
-        kinds=tuple(ModelKind(k) for k in kinds))
+        window.samples, kinds=tuple(ModelKind(k) for k in kinds))
     models = {kind.value: {"phi": fr.params.phi, "theta": fr.params.theta,
                            **{key: getattr(fr, key) for key in _FIT_FIELDS}}
               for kind, fr in results.items()}
@@ -144,9 +143,9 @@ def _pool_size(jobs: int, n_windows: int) -> int:
 
 
 def run_fit(windows_path: Path, output_path: Path,
-            kinds: tuple[ModelKind, ...], weighted: bool, jobs: int) -> list[dict]:
+            kinds: tuple[ModelKind, ...], jobs: int) -> list[dict]:
     """Fit every window of a windows JSONL; write and return the fit rows."""
-    tasks = [(d, [k.value for k in kinds], weighted)
+    tasks = [(d, [k.value for k in kinds])
              for d in _read_jsonl(windows_path, "windows")]
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
@@ -304,7 +303,7 @@ def emit_plotdata(outdir: Path,
             cols = []
             for name in names:
                 entry = models.get(name)
-                if entry is None or not np.isfinite(entry["phi"]):
+                if entry is None or not entry["converged"]:
                     cols.append(np.full(ecdf.s.size, np.nan))
                 else:
                     params = fitting.ModelParams(ModelKind(name),
@@ -432,7 +431,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_fit(args) -> int:
     kinds = _parse_models(args.models)
-    run_fit(Path(args.input), Path(args.output), kinds, args.weighted,
+    run_fit(Path(args.input), Path(args.output), kinds,
             args.jobs or _default_jobs())
     return 0
 
@@ -506,7 +505,7 @@ def _cmd_pipeline(args) -> int:
         _ingest(Path(args.input), windows_path, args.window_len,
                 args.session_filter, args.min_companies, args.column_map)
 
-    rows = run_fit(windows_path, outdir / "fits.jsonl", kinds, args.weighted,
+    rows = run_fit(windows_path, outdir / "fits.jsonl", kinds,
                    args.jobs or _default_jobs())
     summary = _summary(rows, args.hist_bins)
     _write_json(outdir / "summary.json", summary)
@@ -529,6 +528,29 @@ def _cmd_pipeline(args) -> int:
 
 # -- argument wiring -------------------------------------------------------
 
+def _add_ingest_options(p):
+    p.add_argument("--window-len", type=float, default=600.0)
+    p.add_argument("--session-filter", action=argparse.BooleanOptionalAction,
+                   default=True)
+    p.add_argument("--min-companies", type=int, default=50)
+    p.add_argument("--column-map", default=None,
+                   help="field=column overrides, comma separated")
+
+
+def _add_fit_options(p):
+    p.add_argument("--models", default=None,
+                   help="comma list: gamma,inverse-gamma,log-normal,weibull")
+    p.add_argument("--jobs", type=int, default=0,
+                   help="fit worker processes (default: VOLGRAM_JOBS or cores)")
+
+
+def _add_model_options(p):
+    p.add_argument("--model", default="inverse-gamma",
+                   choices=[k.value for k in ALL_KINDS],
+                   help="model whose parameter drives the Langevin analysis")
+    p.add_argument("--param", choices=("phi", "theta"), default="phi")
+
+
 def _add_km_options(p):
     p.add_argument("--n-bins", type=int, default=50)
     p.add_argument("--tau-max", type=int, default=10)
@@ -537,8 +559,7 @@ def _add_km_options(p):
 
 
 def _add_markov_options(p, bins_flag="--n-bins"):
-    p.add_argument(bins_flag, dest="markov_bins" if bins_flag != "--n-bins" else "n_bins",
-                   type=int, default=20)
+    p.add_argument(bins_flag, type=int, default=20)
     p.add_argument("--lag", type=int, default=1)
     p.add_argument("--min-cell-count", type=int, default=30)
     p.add_argument("--surrogates", type=int, default=100)
@@ -549,8 +570,7 @@ def _add_series_source(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="fit JSONL file")
     group.add_argument("--series", help="parameter-series JSON file")
-    p.add_argument("--model", default="inverse-gamma")
-    p.add_argument("--param", choices=("phi", "theta"), default="phi")
+    _add_model_options(p)
 
 
 def build_parser() -> _Parser:
@@ -563,23 +583,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="quotes CSV to windows JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--window-len", type=float, default=600.0)
-    p.add_argument("--session-filter", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--min-companies", type=int, default=50)
-    p.add_argument("--column-map", default=None,
-                   help="field=column overrides, comma separated")
+    _add_ingest_options(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("fit", help="fit model CDFs per window")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--models", default=None,
-                   help="comma list: gamma,inverse-gamma,log-normal,weibull")
-    p.add_argument("--weighted", action="store_true",
-                   help="tail-weighted residuals 1/(F(1-F))")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="fit worker processes (default: VOLGRAM_JOBS or cores)")
+    _add_fit_options(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("summary", help="error statistics across windows")
@@ -645,18 +655,10 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True,
                    help="quotes CSV or windows JSONL")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--window-len", type=float, default=600.0)
-    p.add_argument("--session-filter", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--min-companies", type=int, default=50)
-    p.add_argument("--column-map", default=None)
-    p.add_argument("--models", default=None)
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--jobs", type=int, default=0)
+    _add_ingest_options(p)
+    _add_fit_options(p)
     p.add_argument("--hist-bins", type=int, default=64)
-    p.add_argument("--model", default="inverse-gamma",
-                   help="model whose parameter drives the Langevin analysis")
-    p.add_argument("--param", choices=("phi", "theta"), default="phi")
+    _add_model_options(p)
     _add_km_options(p)
     _add_markov_options(p, bins_flag="--markov-bins")
     p.add_argument("--seed", type=int, default=0)

@@ -63,15 +63,13 @@ def _lower_bounds(kind: ModelKind) -> np.ndarray:
     return np.array([phi_floor, _PARAM_FLOOR])
 
 
-def _residual(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF,
-              sqrt_w: np.ndarray | None) -> np.ndarray:
+def _residual(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF) -> np.ndarray:
     model = dist.cdf(ModelParams(kind, float(p[0]), float(p[1])), ecdf.s)
-    r = np.asarray(model) - ecdf.f
-    return r * sqrt_w if sqrt_w is not None else r
+    return np.asarray(model) - ecdf.f
 
 
 def _jacobian(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF,
-              sqrt_w: np.ndarray | None, lb: np.ndarray) -> np.ndarray:
+              lb: np.ndarray) -> np.ndarray:
     # central differences, step max(1e-6 |p|, 1e-9); probes below the
     # domain floor are clamped and the actual span divides the difference
     h = np.maximum(1e-6 * np.abs(p), 1e-9)
@@ -80,17 +78,13 @@ def _jacobian(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF,
     probes_phi = np.array([hi[0], lo[0], p[0], p[0]])
     probes_theta = np.array([p[1], p[1], hi[1], lo[1]])
     vals = dist.cdf_grid(kind, probes_phi, probes_theta, ecdf.s)
-    jac = np.column_stack([
+    return np.column_stack([
         (vals[0] - vals[1]) / (hi[0] - lo[0]),
         (vals[2] - vals[3]) / (hi[1] - lo[1]),
     ])
-    if sqrt_w is not None:
-        jac *= sqrt_w[:, None]
-    return jac
 
 
-def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams,
-            weighted: bool = False) -> FitResult:
+def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResult:
     """Fit one model's CDF to an empirical CDF.
 
     Converges when the relative parameter step drops below 1e-9 or the
@@ -107,80 +101,71 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams,
     if m < 3:
         return FitResult(guess, np.inf, np.inf, np.inf, False, 0,
                          "fewer than 3 distinct CDF points")
-    sqrt_w = None
-    if weighted:
-        sqrt_w = 1.0 / np.sqrt(ecdf.f * (1.0 - ecdf.f))
     lb = _lower_bounds(kind)
     p = np.array([guess.phi, guess.theta], dtype=float)
-    r = _residual(kind, p, ecdf, sqrt_w)
+    r = _residual(kind, p, ecdf)
     rss = float(r @ r)
     lam = _LAMBDA_INIT
     converged = False
     message = "iteration cap reached"
     clamp_streak = 0
-    jac = None
-    iters = 0
     for iters in range(1, _MAX_ITER + 1):
-        jac = _jacobian(kind, p, ecdf, sqrt_w, lb)
+        jac = _jacobian(kind, p, ecdf, lb)
+        # the last iteration's J^T J also gives the covariance below
+        jtj = jac.T @ jac
         grad = jac.T @ r
         if float(np.linalg.norm(grad)) < _GRAD_TOL:
             converged = True
             message = "gradient norm below tolerance"
             break
-        jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         if not np.all(np.isfinite(jtj)) or np.any(diag <= 0.0):
             message = "singular Jacobian"
             break
-        accepted = False
+        # why the fit stops after this step; None carries on
+        stop = "damping exhausted without improvement"
         while lam <= _LAMBDA_MAX:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                message = "singular Jacobian"
+                stop = "singular Jacobian"
                 break
             trial = p + step
             clamped = np.any(trial < lb)
             trial = np.maximum(trial, lb)
-            r_trial = _residual(kind, trial, ecdf, sqrt_w)
+            r_trial = _residual(kind, trial, ecdf)
             rss_trial = float(r_trial @ r_trial)
             if np.isfinite(rss_trial) and rss_trial <= rss:
                 rel_step = float(np.max(np.abs(trial - p)
                                         / np.maximum(np.abs(p), _PARAM_FLOOR)))
                 p, r, rss = trial, r_trial, rss_trial
                 lam = max(lam / 10.0, 1e-12)
-                accepted = True
                 clamp_streak = clamp_streak + 1 if clamped else 0
+                stop = None
                 if clamp_streak >= _MAX_CLAMPS:
-                    message = "domain escape: step clamping repeated"
-                    break
-                if rel_step < _STEP_TOL:
+                    stop = "domain escape: step clamping repeated"
+                elif rel_step < _STEP_TOL:
                     converged = True
-                    message = "parameter step below tolerance"
+                    stop = "parameter step below tolerance"
                 break
             lam *= 10.0
-        if converged or clamp_streak >= _MAX_CLAMPS or message == "singular Jacobian":
-            break
-        if not accepted:
-            message = "damping exhausted without improvement"
+        if stop is not None:
+            message = stop
             break
     params = ModelParams(kind, float(p[0]), float(p[1]))
     rel_phi = rel_theta = np.inf
-    if jac is not None and m > 2:
-        jtj = jac.T @ jac
-        try:
-            cov = np.linalg.inv(jtj) * rss / (m - 2)
-            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-            rel_phi = float(se[0] / max(abs(p[0]), _PARAM_FLOOR))
-            rel_theta = float(se[1] / max(abs(p[1]), _PARAM_FLOOR))
-        except np.linalg.LinAlgError:
-            converged = False
-            message = "singular Jacobian"
+    try:
+        cov = np.linalg.inv(jtj) * rss / (m - 2)
+        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        rel_phi = float(se[0] / max(abs(p[0]), _PARAM_FLOOR))
+        rel_theta = float(se[1] / max(abs(p[1]), _PARAM_FLOOR))
+    except np.linalg.LinAlgError:
+        converged = False
+        message = "singular Jacobian"
     return FitResult(params, rel_phi, rel_theta, rss, converged, iters, message)
 
 
-def fit_window_all_models(window, weighted: bool = False,
-                          kinds: tuple[ModelKind, ...] = ALL_KINDS,
+def fit_window_all_models(window, kinds: tuple[ModelKind, ...] = ALL_KINDS,
                           ) -> dict[ModelKind, FitResult]:
     """Independent fits of the requested models to one window.
 
@@ -194,7 +179,7 @@ def fit_window_all_models(window, weighted: bool = False,
     for kind in kinds:
         try:
             guess = dist.initial_guess(kind, samples)
-            out[kind] = fit_cdf(kind, ecdf, guess, weighted=weighted)
+            out[kind] = fit_cdf(kind, ecdf, guess)
         except VolgramError as err:
             fallback = ModelParams(kind, np.nan, np.nan)
             out[kind] = FitResult(fallback, np.inf, np.inf, np.inf,

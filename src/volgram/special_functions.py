@@ -67,74 +67,43 @@ def ln_gamma(x):
     return float(out) if scalar else out
 
 
-def _inc_gamma_series(a: np.ndarray, x: np.ndarray, lng: np.ndarray) -> np.ndarray:
-    """P(a, x) via the ascending series, for x < a + 1.
+def _inc_gamma_series(a: np.ndarray, x: np.ndarray):
+    """Ascending series for P(a, x), x < a + 1, 8 terms per step.
 
-    ``lng`` carries ln(gamma(a)) precomputed by the caller.  Converged
-    elements are compacted out of the working set so long input vectors
-    do not pay for their slowest entry.
+    Yields the converged mask and the partial sums; sending an index
+    array compacts the working arrays to those entries.  Overshooting a
+    converged element only shrinks its (already negligible) terms.
     """
-    out = np.zeros_like(x)
-    idx = np.nonzero(x > 0.0)[0]
-    x_live = x[idx]
-    ap = a[idx].copy()
+    ap = a.copy()
     term = 1.0 / ap
     total = term.copy()
-
-    def finalize(fin, tot):
-        out[fin] = tot * np.exp(-x[fin] + a[fin] * np.log(x[fin]) - lng[fin])
-
-    # run in blocks of 8; overshooting a converged element only shrinks
-    # its (already negligible) terms further
-    for _ in range(_MAX_ITER // 8):
-        if idx.size == 0:
-            break
+    while True:
         for _ in range(8):
             ap += 1.0
-            term *= x_live / ap
+            term *= x / ap
             total += term
-        done = np.abs(term) < np.abs(total) * _TOL
-        if done.all():
-            finalize(idx, total)
-            idx = idx[:0]
-            break
-        if done.any():
-            sel = np.nonzero(done)[0]
-            finalize(idx[sel], total[sel])
-            keep = np.nonzero(~done)[0]
-            idx = idx[keep]
-            x_live = x_live[keep]
-            ap = ap[keep]
-            term = term[keep]
-            total = total[keep]
-    if idx.size:
-        raise NonConvergence("incomplete gamma series hit the iteration cap")
-    return out
+        keep = yield np.abs(term) < np.abs(total) * _TOL, total
+        if keep is not None:
+            x, ap, term, total = x[keep], ap[keep], term[keep], total[keep]
 
 
-def _inc_gamma_cf(a: np.ndarray, x: np.ndarray, lng: np.ndarray) -> np.ndarray:
-    """Q(a, x) via the continued fraction (modified Lentz), for x >= a + 1."""
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    a_live = a.copy()
+def _inc_gamma_cf(a: np.ndarray, x: np.ndarray):
+    """Continued fraction (modified Lentz) for Q(a, x), x >= a + 1.
+
+    Same protocol as ``_inc_gamma_series``.  Extra Lentz iterations past
+    convergence are stable (delta stays 1), so testing only at the end
+    of each step is safe.
+    """
     # here x >= a + 1, so b starts at 2 or above
-    b = x + 1.0 - a_live
+    b = x + 1.0 - a
     c = np.full_like(b, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
     i = 0
-
-    def finalize(fin, acc):
-        out[fin] = acc * np.exp(-x[fin] + a[fin] * np.log(x[fin]) - lng[fin])
-
-    # extra Lentz iterations past convergence are stable (delta stays 1),
-    # so convergence is only tested at block boundaries
-    for _ in range(_MAX_ITER // 8):
-        if idx.size == 0:
-            break
+    while True:
         for _ in range(8):
             i += 1
-            an = -i * (i - a_live)
+            an = -i * (i - a)
             b += 2.0
             d = an * d + b
             np.copyto(d, _TINY, where=np.abs(d) < _TINY)
@@ -143,31 +112,43 @@ def _inc_gamma_cf(a: np.ndarray, x: np.ndarray, lng: np.ndarray) -> np.ndarray:
             d = 1.0 / d
             delta = d * c
             h *= delta
-        done = np.abs(delta - 1.0) < _TOL
-        if done.all():
-            finalize(idx, h)
-            idx = idx[:0]
-            break
+        keep = yield np.abs(delta - 1.0) < _TOL, h
+        if keep is not None:
+            a, b, c, d, h = a[keep], b[keep], c[keep], d[keep], h[keep]
+
+
+def _sum_to_convergence(terms, a: np.ndarray, x: np.ndarray, lng: np.ndarray,
+                        message: str) -> np.ndarray:
+    """Run the recurrence ``terms`` on (a, x > 0) until each element converges.
+
+    ``lng`` carries ln(gamma(a)) precomputed by the caller.  Converged
+    elements get ``sum * x^a e^-x / gamma(a)`` and are compacted out of
+    the working set, so long input vectors do not pay for their slowest
+    entry.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    steps = terms(a, x)
+    keep = None
+    for _ in range(_MAX_ITER // 8):
+        done, acc = steps.send(keep)
+        keep = None
         if done.any():
-            sel = np.nonzero(done)[0]
-            finalize(idx[sel], h[sel])
+            fin = idx[done]
+            out[fin] = acc[done] * np.exp(-x[fin] + a[fin] * np.log(x[fin]) - lng[fin])
             keep = np.nonzero(~done)[0]
             idx = idx[keep]
-            a_live = a_live[keep]
-            b = b[keep]
-            c = c[keep]
-            d = d[keep]
-            h = h[keep]
-    if idx.size:
-        raise NonConvergence("incomplete gamma continued fraction hit the iteration cap")
-    return out
+            if idx.size == 0:
+                return out
+    raise NonConvergence(message)
 
 
-def _inc_gamma_branches(name: str, a, x):
-    """Validate, broadcast, and evaluate both branches of P/Q.
+def _inc_gamma(name: str, a, x, upper: bool):
+    """Validate and broadcast (a, x), then evaluate P, or Q if ``upper``.
 
-    Returns (scalar_input, series_mask, series_P, cf_Q) with the branch
-    arrays compacted to their masks.
+    Each element is computed on whichever representation is direct,
+    series P below x = a + 1 and continued-fraction Q above, and the
+    other function is one minus it.
     """
     a_arr, a_scalar = _as_array(a)
     x_arr, x_scalar = _as_array(x)
@@ -183,26 +164,25 @@ def _inc_gamma_branches(name: str, a, x):
     # shape parameter costs one evaluation, not one per grid point
     lng_base = np.asarray(ln_gamma(a_arr if a_arr.ndim else float(a_arr)))
     lng = np.ascontiguousarray(np.broadcast_to(lng_base, shape)).ravel()
-    use_series = x_flat < a_b + 1.0
-    p_ser = q_cf = None
-    if np.any(use_series):
-        p_ser = _inc_gamma_series(a_b[use_series], x_flat[use_series], lng[use_series])
-    cf_mask = ~use_series
-    if np.any(cf_mask):
-        q_cf = _inc_gamma_cf(a_b[cf_mask], x_flat[cf_mask], lng[cf_mask])
-    return (a_scalar and x_scalar), shape, use_series, p_ser, q_cf
+    # P(a, 0) = 0 exactly
+    out = np.full(x_flat.shape, 1.0 if upper else 0.0)
+    ser = (x_flat > 0.0) & (x_flat < a_b + 1.0)
+    if np.any(ser):
+        p = _sum_to_convergence(_inc_gamma_series, a_b[ser], x_flat[ser], lng[ser],
+                                "incomplete gamma series hit the iteration cap")
+        out[ser] = 1.0 - p if upper else p
+    cf = x_flat >= a_b + 1.0
+    if np.any(cf):
+        q = _sum_to_convergence(_inc_gamma_cf, a_b[cf], x_flat[cf], lng[cf],
+                                "incomplete gamma continued fraction hit the iteration cap")
+        out[cf] = q if upper else 1.0 - q
+    out = np.clip(out, 0.0, 1.0).reshape(shape)
+    return float(out) if (a_scalar and x_scalar) else out
 
 
 def reg_inc_gamma_lower(a, x):
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    scalar, shape, ser, p_ser, q_cf = _inc_gamma_branches("reg_inc_gamma_lower", a, x)
-    out = np.empty(ser.shape)
-    if p_ser is not None:
-        out[ser] = p_ser
-    if q_cf is not None:
-        out[~ser] = 1.0 - q_cf
-    out = np.clip(out, 0.0, 1.0).reshape(shape)
-    return float(out) if scalar else out
+    return _inc_gamma("reg_inc_gamma_lower", a, x, upper=False)
 
 
 def reg_inc_gamma_upper(a, x):
@@ -211,14 +191,7 @@ def reg_inc_gamma_upper(a, x):
     Each element is computed on whichever representation is direct, so
     the pair satisfies P + Q = 1 to machine precision.
     """
-    scalar, shape, ser, p_ser, q_cf = _inc_gamma_branches("reg_inc_gamma_upper", a, x)
-    out = np.empty(ser.shape)
-    if p_ser is not None:
-        out[ser] = 1.0 - p_ser
-    if q_cf is not None:
-        out[~ser] = q_cf
-    out = np.clip(out, 0.0, 1.0).reshape(shape)
-    return float(out) if scalar else out
+    return _inc_gamma("reg_inc_gamma_upper", a, x, upper=True)
 
 
 def erf(x):

@@ -10,6 +10,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from volgram.cli import _default_jobs, _pool_size, emit_plotdata, main
+from volgram.market_data import SnapshotWindow
 
 NY = ZoneInfo("America/New_York")
 
@@ -49,6 +50,22 @@ def test_unknown_model_is_usage_error(tmp_path, capsys):
     rc = main(["fit", "--input", str(out), "--output",
                str(tmp_path / "f.jsonl"), "--models", "cauchy", "--jobs", "1"])
     assert rc == 1
+    fits = tmp_path / "fits.jsonl"
+    assert main(["fit", "--input", str(out), "--output", str(fits),
+                 "--models", "inverse-gamma", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    for stage in ("km", "markov"):
+        rc = main([stage, "--input", str(fits), "--output",
+                   str(tmp_path / f"{stage}.json"), "--model", "cauchy"])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / f"{stage}.json").exists()
+    # rejected before the fit stage runs
+    rc = main(["pipeline", "--input", str(out), "--outdir",
+               str(tmp_path / "pipe"), "--model", "cauchy", "--jobs", "1"])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "pipe" / "fits.jsonl").exists()
 
 
 def test_missing_file_is_data_error(tmp_path):
@@ -221,6 +238,25 @@ def test_emit_plotdata_empty_reports(tmp_path):
     for p in paths:
         lines = p.read_text().strip().splitlines()
         assert len(lines) == 1  # header only
+
+
+def test_cdf_fit_plotdata_skips_failed_fits(tmp_path):
+    samples = np.linspace(0.5, 1.5, 12)
+    window = SnapshotWindow(window_start=0.0, window_len=600.0,
+                            samples=samples, mean_s=1.0,
+                            std_s=float(samples.std()), n_companies=12)
+    fit = {"phi": 2.0, "theta": 1.0, "rel_err_phi": 0.1,
+           "rel_err_theta": 0.1, "rss": 0.01, "iterations": 5}
+    row = {"window_start": 0.0, "window_len": 600.0, "n_companies": 12,
+           "models": {"gamma": {**fit, "converged": True},
+                      "inverse-gamma": {**fit, "converged": False}}}
+    emit_plotdata(tmp_path, windows=[window], fit_rows=[row])
+    with open(tmp_path / "cdf-fit.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == 12
+    # a failed fit is not drawn, even with a finite phi
+    assert all(line["F_inverse-gamma"] == "nan" for line in table)
+    assert all(0.0 < float(line["F_gamma"]) < 1.0 for line in table)
 
 
 def test_jobs_env_fallback(monkeypatch):

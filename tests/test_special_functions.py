@@ -85,6 +85,19 @@ def test_inc_gamma_complement_identity_grid():
     assert np.all((p >= 0.0) & (p <= 1.0))
 
 
+def test_inc_gamma_vector_equals_elementwise():
+    # both branches, with elements that converge after 1 to 19 blocks of
+    # 8 terms: dropping converged elements from the working set must not
+    # change the value of any element left in it
+    shapes = np.geomspace(0.05, 5e3, 9)
+    a = np.repeat(shapes, 7)
+    x = np.concatenate([[1e-5, 0.01 * s, 0.3 * s, 0.8 * s, s + 1.0,
+                         1.5 * s + 2.0, 4.0 * s + 10.0] for s in shapes])
+    for fn in (reg_inc_gamma_lower, reg_inc_gamma_upper):
+        one_by_one = [fn(float(ai), float(xi)) for ai, xi in zip(a, x)]
+        assert np.array_equal(fn(a, x), one_by_one)
+
+
 @given(st.floats(min_value=0.1, max_value=50.0))
 @settings(max_examples=50, deadline=None)
 def test_inc_gamma_monotone_in_x(a):
