@@ -11,13 +11,13 @@ Subcommands compose the library stages::
     pipeline  ingest -> fit -> summary -> km -> markov in one pass
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-All file formats carry ``"format_version": 1``.
+All file formats carry ``"format_version": 1`` and are strict JSON: a
+value that cannot be computed (NaN or infinite) is written as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import math
@@ -32,10 +32,9 @@ from . import (distributions as dist, fitting, kramers_moyal as km_mod,
                langevin, market_data)
 from .distributions import ALL_KINDS, ModelKind
 from .errors import DataError, NumericalError, VolgramError
+from .market_data import FORMAT_VERSION, strict_dumps
 
 log = logging.getLogger("volgram")
-
-FORMAT_VERSION = 1
 
 _FIT_CHUNK = 16     # windows handed to a fit worker at a time
 # FitResult fields stored in a fit row, after phi and theta
@@ -57,33 +56,33 @@ def _write_json(path: Path, payload: dict) -> None:
     payload = {"format_version": FORMAT_VERSION, **payload}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(strict_dumps(payload, indent=1) + "\n")
 
 
-def _read_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _read_jsonl(path: Path, what: str) -> list[dict]:
+def _read_fit_rows(path: Path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
     if not rows:
-        raise DataError(f"no {what} in {path}")
+        raise DataError(f"no fit rows in {path}")
     return rows
 
 
-def _parse_models(spec: str | None) -> tuple[ModelKind, ...]:
-    if not spec:
-        return ALL_KINDS
+def _read_windows(path: Path) -> list[market_data.SnapshotWindow]:
+    with open(path, "r", encoding="utf-8") as fh:
+        windows = market_data.read_windows_jsonl(fh)
+    if not windows:
+        raise DataError(f"no windows in {path}")
+    return windows
+
+
+def _parse_models(spec: str) -> tuple[ModelKind, ...]:
     kinds = []
     for name in spec.split(","):
         name = name.strip()
         try:
             kinds.append(ModelKind(name))
         except ValueError:
-            raise UsageError(
+            raise argparse.ArgumentTypeError(
                 f"unknown model {name!r}; choose from "
                 f"{', '.join(k.value for k in ALL_KINDS)}")
     return tuple(kinds)
@@ -94,18 +93,17 @@ def _parse_tau_range(spec: str) -> tuple[int, int]:
         lo, hi = spec.split(":")
         return int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"bad tau range {spec!r}, expected LO:HI")
+        raise argparse.ArgumentTypeError(f"bad tau range {spec!r}, expected LO:HI")
 
 
-def _parse_column_map(spec: str | None) -> dict[str, str] | None:
-    if not spec:
-        return None
+def _parse_column_map(spec: str) -> dict[str, str]:
     out = {}
     for pair in spec.split(","):
         try:
             key, value = pair.split("=")
         except ValueError:
-            raise UsageError(f"bad column mapping {pair!r}, expected name=csvcolumn")
+            raise argparse.ArgumentTypeError(
+                f"bad column mapping {pair!r}, expected name=csvcolumn")
         out[key.strip()] = value.strip()
     return out
 
@@ -113,10 +111,8 @@ def _parse_column_map(spec: str | None) -> dict[str, str] | None:
 # -- fit stage -------------------------------------------------------------
 
 def _fit_one(args) -> dict:
-    window_dict, kinds = args
-    window = market_data.window_from_dict(window_dict)
-    results = fitting.fit_window_all_models(
-        window.samples, kinds=tuple(ModelKind(k) for k in kinds))
+    window, kinds = args
+    results = fitting.fit_window_all_models(window.samples, kinds=kinds)
     models = {kind.value: {"phi": fr.params.phi, "theta": fr.params.theta,
                            **{key: getattr(fr, key) for key in _FIT_FIELDS}}
               for kind, fr in results.items()}
@@ -127,26 +123,16 @@ def _fit_one(args) -> dict:
             "models": models}
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("VOLGRAM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"VOLGRAM_JOBS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _pool_size(jobs: int, n_windows: int) -> int:
-    """Fit workers: no more than asked for, than CPUs, or than chunks."""
-    return min(jobs, os.cpu_count() or 1, math.ceil(n_windows / _FIT_CHUNK))
+    """Fit workers: no more than jobs (0: any number), than CPUs, or than chunks."""
+    cpus = os.cpu_count() or 1
+    return min(jobs or cpus, cpus, math.ceil(n_windows / _FIT_CHUNK))
 
 
-def run_fit(windows_path: Path, output_path: Path,
+def run_fit(windows: list[market_data.SnapshotWindow], output_path: Path,
             kinds: tuple[ModelKind, ...], jobs: int) -> list[dict]:
-    """Fit every window of a windows JSONL; write and return the fit rows."""
-    tasks = [(d, [k.value for k in kinds])
-             for d in _read_jsonl(windows_path, "windows")]
+    """Fit every window; write and return the fit rows."""
+    tasks = [(w, kinds) for w in windows]
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -156,7 +142,7 @@ def run_fit(windows_path: Path, output_path: Path,
     output_path.parent.mkdir(parents=True, exist_ok=True)
     with open(output_path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row) + "\n")
+            fh.write(strict_dumps(row) + "\n")
     n_bad = sum(0 if all(m["converged"] for m in row["models"].values()) else 1
                 for row in rows)
     log.info("fit: %d windows, %d with a non-converged model", len(rows), n_bad)
@@ -164,14 +150,17 @@ def run_fit(windows_path: Path, output_path: Path,
 
 
 def _results_from_rows(rows: list[dict]) -> list[dict[ModelKind, fitting.FitResult]]:
+    def value(x):
+        return math.nan if x is None else x     # strict JSON's null
+
     out = []
     for row in rows:
         per = {}
         for name, m in row["models"].items():
             kind = ModelKind(name)
             per[kind] = fitting.FitResult(
-                params=fitting.ModelParams(kind, m["phi"], m["theta"]),
-                **{key: m[key] for key in _FIT_FIELDS})
+                params=fitting.ModelParams(kind, value(m["phi"]), value(m["theta"])),
+                **{key: value(m[key]) for key in _FIT_FIELDS})
         out.append(per)
     return out
 
@@ -207,12 +196,12 @@ def series_from_fit_rows(rows: list[dict], model: ModelKind,
 
 def _series_from_args(args) -> km_mod.ParamSeries:
     if getattr(args, "series", None):
-        doc = _read_json(Path(args.series))
+        doc = json.loads(Path(args.series).read_text(encoding="utf-8"))
         return km_mod.ParamSeries(times=np.asarray(doc["times"]),
                                   values=np.asarray(doc["values"]),
                                   dt=float(doc.get("dt", 1.0)),
                                   gaps=np.asarray(doc.get("gaps", []), dtype=int))
-    rows = _read_jsonl(Path(args.input), "fit rows")
+    rows = _read_fit_rows(Path(args.input))
     return series_from_fit_rows(rows, ModelKind(args.model), args.param)
 
 
@@ -383,8 +372,8 @@ def emit_plotdata(outdir: Path,
 
 def _ingest(input_path: Path, output_path: Path, window_len: float,
             session_filter: bool, min_companies: int,
-            column_map: str | None) -> None:
-    parsed = market_data.parse_quotes(input_path, _parse_column_map(column_map))
+            column_map: dict[str, str] | None) -> list[market_data.SnapshotWindow]:
+    parsed = market_data.parse_quotes(input_path, column_map)
     log.info("ingest: %d records, %d malformed rows",
              len(parsed.records), parsed.n_malformed)
     built = market_data.build_windows(
@@ -396,6 +385,7 @@ def _ingest(input_path: Path, output_path: Path, window_len: float,
     log.info("ingest: wrote %d windows (%d session-filtered, %d too small)",
              len(built.windows), built.n_session_filtered,
              built.n_below_min_companies)
+    return built.windows
 
 
 def _summary(rows: list[dict], hist_bins: int) -> dict:
@@ -430,22 +420,20 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    kinds = _parse_models(args.models)
-    run_fit(Path(args.input), Path(args.output), kinds,
-            args.jobs or _default_jobs())
+    run_fit(_read_windows(Path(args.input)), Path(args.output), args.models,
+            args.jobs)
     return 0
 
 
 def _cmd_summary(args) -> int:
-    rows = _read_jsonl(Path(args.input), "fit rows")
+    rows = _read_fit_rows(Path(args.input))
     _write_json(Path(args.output), _summary(rows, args.hist_bins))
     return 0
 
 
 def _cmd_km(args) -> int:
-    tau_range = _parse_tau_range(args.tau_fit)
     report = _km(_series_from_args(args), args.n_bins, args.tau_max,
-                 args.min_count, tau_range)
+                 args.min_count, args.tau_fit)
     _write_json(Path(args.output), report)
     if args.plotdata:
         emit_plotdata(Path(args.plotdata), km_report=report)
@@ -493,34 +481,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    tau_range = _parse_tau_range(args.tau_fit)
-    kinds = _parse_models(args.models)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     with open(args.input, "r", encoding="utf-8") as fh:
         is_windows = fh.readline().strip().startswith("{")
-    windows_path = Path(args.input) if is_windows else outdir / "windows.jsonl"
-    if not is_windows:
-        _ingest(Path(args.input), windows_path, args.window_len,
-                args.session_filter, args.min_companies, args.column_map)
+    if is_windows:
+        windows = _read_windows(Path(args.input))
+    else:
+        windows = _ingest(Path(args.input), outdir / "windows.jsonl",
+                          args.window_len, args.session_filter,
+                          args.min_companies, args.column_map)
 
-    rows = run_fit(windows_path, outdir / "fits.jsonl", kinds,
-                   args.jobs or _default_jobs())
+    rows = run_fit(windows, outdir / "fits.jsonl", args.models, args.jobs)
     summary = _summary(rows, args.hist_bins)
     _write_json(outdir / "summary.json", summary)
 
     series = series_from_fit_rows(rows, ModelKind(args.model), args.param)
-    report = _km(series, args.n_bins, args.tau_max, args.min_count, tau_range)
+    report = _km(series, args.n_bins, args.tau_max, args.min_count, args.tau_fit)
     report["markov"] = _markov(series, args.markov_bins, args.lag,
                                args.min_cell_count, args.surrogates,
                                args.percentile, args.seed)
     _write_json(outdir / "km.json", report)
 
     if args.plotdata:
-        # cdf-fit.csv draws on the first window only
-        with open(windows_path, "r", encoding="utf-8") as fh:
-            windows = market_data.read_windows_jsonl(itertools.islice(fh, 1))
         emit_plotdata(outdir / "plotdata", windows=windows, fit_rows=rows,
                       summary=summary, km_report=report)
     return 0
@@ -533,15 +517,15 @@ def _add_ingest_options(p):
     p.add_argument("--session-filter", action=argparse.BooleanOptionalAction,
                    default=True)
     p.add_argument("--min-companies", type=int, default=50)
-    p.add_argument("--column-map", default=None,
+    p.add_argument("--column-map", type=_parse_column_map, default=None,
                    help="field=column overrides, comma separated")
 
 
 def _add_fit_options(p):
-    p.add_argument("--models", default=None,
+    p.add_argument("--models", type=_parse_models, default=ALL_KINDS,
                    help="comma list: gamma,inverse-gamma,log-normal,weibull")
     p.add_argument("--jobs", type=int, default=0,
-                   help="fit worker processes (default: VOLGRAM_JOBS or cores)")
+                   help="fit worker processes (default 0: one per core)")
 
 
 def _add_model_options(p):
@@ -554,7 +538,8 @@ def _add_model_options(p):
 def _add_km_options(p):
     p.add_argument("--n-bins", type=int, default=50)
     p.add_argument("--tau-max", type=int, default=10)
-    p.add_argument("--tau-fit", default="1:5", help="lag fit range LO:HI")
+    p.add_argument("--tau-fit", type=_parse_tau_range, default="1:5",
+                   help="lag fit range LO:HI")
     p.add_argument("--min-count", type=int, default=100)
 
 
@@ -681,9 +666,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2

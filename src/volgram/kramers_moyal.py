@@ -173,8 +173,14 @@ def _line_fit(y: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return intercept, slope, (resid * resid).sum(axis=1)
 
 
-def _mean_bin_index(moments: ConditionalMoments) -> int:
-    return int(np.argmin(np.abs(moments.bin_centers - moments.mean_value)))
+def _mean_bin_index(moments: ConditionalMoments) -> int | None:
+    """The reported bin that contains the series mean, or None if that bin
+    fell below min_count."""
+    i = int(np.argmin(np.abs(moments.bin_centers - moments.mean_value)))
+    half = 0.5 * moments.bin_width
+    if abs(moments.bin_centers[i] - moments.mean_value) > half * (1.0 + 1e-9):
+        return None
+    return i
 
 
 def km_estimate(moments: ConditionalMoments,
@@ -185,7 +191,9 @@ def km_estimate(moments: ConditionalMoments,
     Per bin, M_n(tau) is fitted as a_n + b_n tau over the requested lag
     range; D1 = b1/dt and D2 = b2/(2 dt).  The drift line is a weighted
     least-squares fit of D1 against the bin centers with the conditioning
-    counts as weights; its zero crossing is the fixed point.
+    counts as weights; its zero crossing is the fixed point.  The noise
+    amplitude is read at the bin containing the series mean; it is NaN
+    when that bin was not reported.
     """
     tau_lo, tau_hi = int(tau_fit_range[0]), int(tau_fit_range[1])
     if tau_lo < 1 or tau_hi > int(moments.taus[-1]) or tau_hi - tau_lo + 1 < 3:
@@ -202,7 +210,8 @@ def km_estimate(moments: ConditionalMoments,
     d2 = np.where(negative, 0.0, d2_raw)
 
     mean_bin = _mean_bin_index(moments)
-    noise_sigma = float(np.sqrt(max(a2[mean_bin], 0.0) / 2.0))
+    noise_sigma = (float("nan") if mean_bin is None
+                   else float(np.sqrt(max(a2[mean_bin], 0.0) / 2.0)))
 
     w = moments.counts[:, tau_lo - 1].astype(float)
     centers = moments.bin_centers
@@ -242,13 +251,10 @@ def estimate_measurement_noise(moments: ConditionalMoments,
     """Noise amplitude sqrt(a2/2) from the extrapolated tau -> 0 intercept
     of M2 at the bin containing the series mean.
 
-    Unlike ``km_estimate``, which falls back to the nearest reported bin,
-    this raises when the bin containing the mean was not reported.
+    Where ``km_estimate`` reports NaN because that bin was not reported,
+    this raises.
     """
-    centers = moments.bin_centers
-    half = 0.5 * moments.bin_width
-    mean_bin = _mean_bin_index(moments)
-    if abs(centers[mean_bin] - moments.mean_value) > half * (1.0 + 1e-9):
+    if _mean_bin_index(moments) is None:
         raise MeanBinUnpopulated(
             "the bin containing the series mean fell below min_count")
     return km_estimate(moments, tau_fit_range).noise_sigma

@@ -209,7 +209,7 @@ def window_to_dict(w: SnapshotWindow) -> dict:
         "format_version": FORMAT_VERSION,
         "window_start": w.window_start,
         "window_len": w.window_len,
-        "samples": [float(x) for x in w.samples],
+        "samples": w.samples.tolist(),
         "mean_s": w.mean_s,
         "std_s": w.std_s,
         "n_companies": w.n_companies,
@@ -230,9 +230,20 @@ def window_from_dict(d: dict) -> SnapshotWindow:
     )
 
 
+def strict_dumps(obj, **kwargs) -> str:
+    """``json.dumps`` for every volgram file: strict JSON, with each NaN or
+    infinite float written as ``null``."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        # floats round-trip through their repr, so only the constants move
+        obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
+        return json.dumps(obj, allow_nan=False, **kwargs)
+
+
 def write_windows_jsonl(windows, fh) -> None:
     for w in windows:
-        fh.write(json.dumps(window_to_dict(w)) + "\n")
+        fh.write(strict_dumps(window_to_dict(w)) + "\n")
 
 
 def read_windows_jsonl(fh) -> list[SnapshotWindow]:

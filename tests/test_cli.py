@@ -9,8 +9,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from volgram.cli import _default_jobs, _pool_size, emit_plotdata, main
-from volgram.market_data import SnapshotWindow
+from volgram.cli import _pool_size, emit_plotdata, main
+from volgram.market_data import SnapshotWindow, write_windows_jsonl
 
 NY = ZoneInfo("America/New_York")
 
@@ -27,6 +27,13 @@ def _quotes_csv(path: Path, n_symbols=60, n_windows=4):
                 price = float(rng.uniform(5, 50))
                 volume = float(rng.integers(1, 10_000))
                 writer.writerow([ts, f"S{i:03d}", price, volume])
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def _simulate_market_files(tmp_path, windows=160, companies=120, seed=9):
@@ -72,6 +79,32 @@ def test_missing_file_is_data_error(tmp_path):
     rc = main(["fit", "--input", str(tmp_path / "absent.jsonl"),
                "--output", str(tmp_path / "out.jsonl"), "--jobs", "1"])
     assert rc == 2
+
+
+def test_empty_windows_file_is_data_error(tmp_path, capsys):
+    empty = tmp_path / "windows.jsonl"
+    empty.write_text("")
+    rc = main(["fit", "--input", str(empty), "--output",
+               str(tmp_path / "fits.jsonl"), "--jobs", "1"])
+    assert rc == 2
+    assert f"no windows in {empty}" in capsys.readouterr().err
+    rc = main(["pipeline", "--input", str(empty), "--outdir",
+               str(tmp_path / "pipe"), "--jobs", "1"])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "fits.jsonl").exists()
+    assert not (tmp_path / "pipe" / "fits.jsonl").exists()
+
+
+def test_bad_column_map_is_usage_error_for_windows_input(tmp_path, capsys):
+    out, _ = _simulate_market_files(tmp_path, windows=12, companies=30)
+    capsys.readouterr()
+    # the windows input never reaches the CSV reader; the option is still checked
+    rc = main(["pipeline", "--input", str(out), "--outdir", str(tmp_path / "pipe"),
+               "--column-map", "bad", "--jobs", "1"])
+    assert rc == 1
+    assert "bad column mapping" in capsys.readouterr().err
+    assert not (tmp_path / "pipe" / "fits.jsonl").exists()
 
 
 def test_ingest_fit_summary_from_csv(tmp_path):
@@ -209,6 +242,61 @@ def test_pipeline_matches_individual_stages(tmp_path):
     assert stage_markov == pipe_markov
 
 
+def test_pipeline_from_csv_fits_the_windows_it_wrote(tmp_path):
+    csv_path = tmp_path / "quotes.csv"
+    _quotes_csv(csv_path, n_windows=30)
+    pipe_dir = tmp_path / "pipe"
+    rc = main(["pipeline", "--input", str(csv_path), "--outdir", str(pipe_dir),
+               "--models", "inverse-gamma", "--n-bins", "2", "--tau-max", "3",
+               "--tau-fit", "1:3", "--min-count", "1", "--markov-bins", "2",
+               "--min-cell-count", "1", "--plotdata", "--jobs", "1"])
+    assert rc == 0
+    fits = tmp_path / "stage_fits.jsonl"
+    assert main(["fit", "--input", str(pipe_dir / "windows.jsonl"),
+                 "--output", str(fits), "--models", "inverse-gamma",
+                 "--jobs", "1"]) == 0
+    assert fits.read_bytes() == (pipe_dir / "fits.jsonl").read_bytes()
+    assert len(fits.read_text().splitlines()) == 30
+
+
+def test_outputs_are_strict_json(tmp_path):
+    out, _ = _simulate_market_files(tmp_path, windows=3, companies=200)
+    # a narrow cross-section: the gamma-family fits fail with phi = NaN
+    s = 1.0 + 0.01 * np.random.default_rng(0).standard_normal(2000)
+    narrow = SnapshotWindow(window_start=1800.0, window_len=600.0,
+                            samples=s / s.mean(), mean_s=float(s.mean()),
+                            std_s=float(s.std()), n_companies=2000)
+    with open(out, "a", encoding="utf-8") as fh:
+        write_windows_jsonl([narrow], fh)
+
+    fits = tmp_path / "fits.jsonl"
+    assert main(["fit", "--input", str(out), "--output", str(fits),
+                 "--models", "gamma,inverse-gamma", "--jobs", "1"]) == 0
+    rows = [_strict_json(line) for line in fits.read_text().splitlines()]
+    assert len(rows) == 4
+    failed = rows[-1]["models"]["inverse-gamma"]
+    assert failed["converged"] is False
+    for key in ("phi", "theta", "rel_err_phi", "rel_err_theta", "rss"):
+        assert failed[key] is None          # was NaN or Infinity
+    assert all(r["models"]["inverse-gamma"]["converged"] for r in rows[:-1])
+
+    summary = tmp_path / "summary.json"
+    assert main(["summary", "--input", str(fits), "--output", str(summary)]) == 0
+    doc = _strict_json(summary.read_text())
+    assert doc["models"]["inverse-gamma"]["n_failed"] == 1
+
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "2000", "--noise-sigma", "0.003", "--seed", "5"]) == 0
+    km_doc = tmp_path / "km.json"
+    assert main(["km", "--series", str(series), "--output", str(km_doc),
+                 "--n-bins", "1", "--tau-max", "5", "--tau-fit", "1:3",
+                 "--min-count", "100"]) == 0
+    doc = _strict_json(km_doc.read_text())
+    assert doc["phi_f"] is None             # one bin: no drift line, was NaN
+    assert doc["noise_sigma"] > 0.0
+
+
 def test_pipeline_plotdata_files(tmp_path):
     out, _ = _simulate_market_files(tmp_path)
     pipe_dir = tmp_path / "pipe"
@@ -259,13 +347,6 @@ def test_cdf_fit_plotdata_skips_failed_fits(tmp_path):
     assert all(0.0 < float(line["F_gamma"]) < 1.0 for line in table)
 
 
-def test_jobs_env_fallback(monkeypatch):
-    monkeypatch.setenv("VOLGRAM_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.delenv("VOLGRAM_JOBS")
-    assert _default_jobs() >= 1
-
-
 def test_fit_pool_is_capped(monkeypatch):
     # computed only: no pool is started
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -273,6 +354,7 @@ def test_fit_pool_is_capped(monkeypatch):
     assert _pool_size(64, 17) == 2          # by the 16-window chunks
     assert _pool_size(64, 16) == 1
     assert _pool_size(3, 10**6) == 3        # by the request
+    assert _pool_size(0, 10**6) == 4        # 0 asks for every CPU
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(64, 10**6) == 1
 

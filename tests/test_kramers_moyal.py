@@ -183,6 +183,8 @@ def test_mean_bin_unpopulated_raises():
     mom = conditional_moments(series, n_bins=20, tau_max=3, min_count=50)
     with pytest.raises(MeanBinUnpopulated):
         estimate_measurement_noise(mom, (1, 3))
+    # the same rule in km_estimate: no noise from a distant bin
+    assert np.isnan(km_estimate(mom, (1, 3)).noise_sigma)
 
 
 def test_markov_iid_passes():
