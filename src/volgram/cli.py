@@ -484,9 +484,11 @@ def _cmd_pipeline(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    # a windows JSONL opens with "{" on its first non-blank line; a file
+    # with none is an empty windows file
     with open(args.input, "r", encoding="utf-8") as fh:
-        is_windows = fh.readline().strip().startswith("{")
-    if is_windows:
+        first = next((line.strip() for line in fh if line.strip()), "{")
+    if first.startswith("{"):
         windows = _read_windows(Path(args.input))
     else:
         windows = _ingest(Path(args.input), outdir / "windows.jsonl",

@@ -32,6 +32,10 @@ class EmptyInput(DataError):
     """No records to process."""
 
 
+class MalformedWindow(DataError):
+    """A windows JSONL line is not a window of this format version."""
+
+
 class AllWindowsFiltered(DataError):
     """Every window was removed by the session or size filters."""
 

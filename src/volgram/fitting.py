@@ -1,8 +1,10 @@
 """Least-squares fitting of model CDFs to per-window empirical CDFs.
 
 The optimizer is a damped Gauss-Newton iteration with a Levenberg-style
-multiplier on the normal-equation diagonal and a central-difference
-Jacobian.  Parameter errors come from the usual linearization
+multiplier on the normal-equation diagonal.  Its Jacobian comes from the
+closed-form derivatives in the model table; only the gamma family's
+shape column is a forward difference, one ``cdf_grid`` row per
+iteration.  Parameter errors come from the usual linearization
 ``cov = (J^T J)^{-1} rss / (m - 2)``; the relative errors
 ``stderr(phi)/|phi|`` and ``stderr(theta)/|theta|`` are the per-window
 quality measure that the cross-model ranking aggregates.
@@ -68,29 +70,29 @@ def _residual(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF) -> np.ndarray:
     return np.asarray(model) - ecdf.f
 
 
-def _jacobian(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF,
-              lb: np.ndarray) -> np.ndarray:
-    # central differences, step max(1e-6 |p|, 1e-9); probes below the
-    # domain floor are clamped and the actual span divides the difference
-    h = np.maximum(1e-6 * np.abs(p), 1e-9)
-    hi = p + h
-    lo = np.maximum(p - h, lb)
-    probes_phi = np.array([hi[0], lo[0], p[0], p[0]])
-    probes_theta = np.array([p[1], p[1], hi[1], lo[1]])
-    vals = dist.cdf_grid(kind, probes_phi, probes_theta, ecdf.s)
-    return np.column_stack([
-        (vals[0] - vals[1]) / (hi[0] - lo[0]),
-        (vals[2] - vals[3]) / (hi[1] - lo[1]),
-    ])
+def _jacobian(kind: ModelKind, p: np.ndarray, r: np.ndarray,
+              ecdf: EmpiricalCDF) -> np.ndarray:
+    d_phi, d_theta = dist._MODELS[kind].derivs(float(p[0]), float(p[1]), ecdf.s)
+    if d_phi is None:
+        # forward difference, step max(1e-6 phi, 1e-9), from the model
+        # CDF that the residual r already holds
+        hi = p[0] + max(1e-6 * p[0], 1e-9)
+        probe = dist.cdf_grid(kind, [hi], [p[1]], ecdf.s)[0]
+        d_phi = (probe - (r + ecdf.f)) / (hi - p[0])
+    return np.column_stack([d_phi, d_theta])
 
 
 def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResult:
-    """Fit one model's CDF to an empirical CDF.
+    """Fit one model's CDF to an empirical CDF, from ``guess`` (usually
+    ``initial_guess``, whose log-moment start keeps the gamma-family
+    fits off the saturated CDF of heavy-tailed windows).
 
-    Converges when the relative parameter step drops below 1e-9 or the
-    gradient norm below 1e-10, capped at 200 iterations.  A step that
-    leaves the parameter domain is clamped; twenty consecutive clamped
-    steps abort the fit.  Singular normal equations are reported in the
+    Each iteration costs one Jacobian from the model table's derivatives
+    (plus one ``cdf_grid`` row for the gamma-family shape) and one
+    residual per damping trial.  Converges when the relative parameter
+    step drops below 1e-9 or the gradient norm below 1e-10, capped at
+    200 iterations.  A step that leaves the parameter domain is
+    clamped; twenty consecutive clamped steps abort the fit.  Singular normal equations are reported in the
     result rather than raised.
     """
     if guess.kind is not kind:
@@ -110,7 +112,7 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
     message = "iteration cap reached"
     clamp_streak = 0
     for iters in range(1, _MAX_ITER + 1):
-        jac = _jacobian(kind, p, ecdf, lb)
+        jac = _jacobian(kind, p, r, ecdf)
         # the last iteration's J^T J also gives the covariance below
         jtj = jac.T @ jac
         grad = jac.T @ r

@@ -21,8 +21,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import (AllWindowsFiltered, EmptyInput, MissingColumn,
-                     TooManyMalformed)
+from .errors import (AllWindowsFiltered, EmptyInput, MalformedWindow,
+                     MissingColumn, TooManyMalformed)
 
 FORMAT_VERSION = 1
 
@@ -247,9 +247,20 @@ def write_windows_jsonl(windows, fh) -> None:
 
 
 def read_windows_jsonl(fh) -> list[SnapshotWindow]:
+    """Windows from a JSON-lines stream; blank lines are skipped.
+
+    A line that is not a window of this format version raises
+    ``MalformedWindow`` naming the stream and the line number.
+    """
     out = []
-    for line in fh:
+    for lineno, line in enumerate(fh, start=1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             out.append(window_from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            source = getattr(fh, "name", "windows JSONL")
+            raise MalformedWindow(
+                f"{source} line {lineno}: {type(err).__name__}: {err}") from None
     return out

@@ -96,6 +96,44 @@ def test_empty_windows_file_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "pipe" / "fits.jsonl").exists()
 
 
+def test_malformed_windows_line_is_data_error(tmp_path, capsys):
+    out, _ = _simulate_market_files(tmp_path, windows=3, companies=20)
+    good = out.read_text().splitlines()
+    for name, bad in (("version", '{"format_version": 2, "window_start": 0}'),
+                      ("broken", '{"window_start": 0,')):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(good[:2] + [bad] + good[2:]) + "\n")
+        for argv in (["fit", "--output", str(tmp_path / f"{name}-fits.jsonl")],
+                     ["pipeline", "--outdir", str(tmp_path / f"{name}-pipe")]):
+            rc = main(argv + ["--input", str(path), "--jobs", "1"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert f"data error: {path} line 3: " in err
+            assert "Traceback" not in err
+        assert not (tmp_path / f"{name}-fits.jsonl").exists()
+
+
+def test_pipeline_detects_windows_after_blank_lines(tmp_path, capsys):
+    out, _ = _simulate_market_files(tmp_path, windows=30, companies=60)
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n  \n" + out.read_text())
+    pipe_dir = tmp_path / "pipe"
+    rc = main(["pipeline", "--input", str(padded), "--outdir", str(pipe_dir),
+               "--models", "inverse-gamma", "--n-bins", "2", "--tau-max", "3",
+               "--tau-fit", "1:3", "--min-count", "1", "--markov-bins", "2",
+               "--min-cell-count", "1", "--jobs", "1"])
+    assert rc == 0
+    assert len((pipe_dir / "fits.jsonl").read_text().splitlines()) == 30
+    assert not (pipe_dir / "windows.jsonl").exists()
+    for text in ("", "\n\n"):
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text(text)
+        rc = main(["pipeline", "--input", str(blank), "--outdir",
+                   str(tmp_path / "blank-pipe"), "--jobs", "1"])
+        assert rc == 2
+        assert f"data error: no windows in {blank}" in capsys.readouterr().err
+
+
 def test_bad_column_map_is_usage_error_for_windows_input(tmp_path, capsys):
     out, _ = _simulate_market_files(tmp_path, windows=12, companies=30)
     capsys.readouterr()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadrature_oracle as oracle
-from volgram.distributions import (ALL_KINDS, ModelKind, ModelParams,
+from volgram.distributions import (_MODELS, ALL_KINDS, ModelKind, ModelParams,
                                    analytic_moments, cdf, cdf_grid,
                                    initial_guess, pdf, sample)
 from volgram.errors import DegenerateSample, DomainError, TooFewSamples
@@ -158,19 +158,29 @@ def test_sampling_statistics():
     assert abs(small_shape.mean() - 0.5) / 0.5 < 0.01
 
 
-def test_initial_guess_moment_formulas():
-    # nine samples at 2/3 and one at 4 have mean 1 and variance 1
-    samples = np.array([2.0 / 3.0] * 9 + [4.0])
-    guess = initial_guess(INV_GAMMA, samples)
-    assert guess.phi == pytest.approx(3.0, rel=1e-12)
-    assert guess.theta == pytest.approx(2.0, rel=1e-12)
-    # nine at 2 - sqrt(2)/3 and one at 2 + 3 sqrt(2): mean 2, variance 2
-    lo = 2.0 - math.sqrt(2.0) / 3.0
-    hi = 2.0 + 3.0 * math.sqrt(2.0)
-    samples = np.array([lo] * 9 + [hi])
+def test_initial_guess_log_moment_formulas():
+    # five samples at 1 and five at 4: mean 5/2, mean log ln 2, so
+    # s = ln(5/4) = 0.2231435513 and phi = (3 - s + sqrt((s - 3)^2 + 24 s))
+    # / (12 s) = (2.7768564487 + sqrt(13.0663797)) / 2.6777226 = 2.3869540
+    samples = np.array([1.0, 4.0] * 5)
     guess = initial_guess(ModelKind.GAMMA, samples)
-    assert guess.phi == pytest.approx(2.0, rel=1e-9)
-    assert guess.theta == pytest.approx(1.0, rel=1e-9)
+    assert guess.phi == pytest.approx(2.386954047, rel=1e-9)
+    assert guess.theta == pytest.approx(2.5 / 2.386954047, rel=1e-9)
+    # the reciprocals 1 and 1/4 have mean 5/8 and the same s
+    guess = initial_guess(INV_GAMMA, samples)
+    assert guess.phi == pytest.approx(2.386954047, rel=1e-9)
+    assert guess.theta == pytest.approx(2.386954047 / 0.625, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind,phi,theta", [
+    (ModelKind.GAMMA, 2.0, 1.0), (ModelKind.GAMMA, 0.6, 3.0),
+    (INV_GAMMA, 0.93, 1.0), (INV_GAMMA, 3.5, 0.4)])
+def test_initial_guess_gamma_family_recovery(kind, phi, theta):
+    # the log-moment shape is within 1.5% of maximum likelihood; at
+    # phi = 0.93 the inverse-gamma variance does not exist
+    guess = initial_guess(kind, sample(ModelParams(kind, phi, theta), 10**5, seed=13))
+    assert guess.phi == pytest.approx(phi, rel=0.03)
+    assert guess.theta == pytest.approx(theta, rel=0.03)
 
 
 def test_initial_guess_log_normal_recovery():
@@ -192,6 +202,30 @@ def test_initial_guess_rejects_bad_samples():
         initial_guess(ModelKind.GAMMA, [1.0] * 9)
     with pytest.raises(DegenerateSample):
         initial_guess(ModelKind.GAMMA, [1.0] * 20)
+
+
+_DERIV_POINTS = [(0.5, 0.3), (0.93, 1.0), (2.5, 4.0), (7.0, 0.2)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_table_derivatives_match_central_difference(kind):
+    s = np.geomspace(1e-3, 1e3, 200)
+    points = _DERIV_POINTS + ([(-0.7, 0.6)] if kind is ModelKind.LOG_NORMAL else [])
+    for phi, theta in points:
+        d_phi, d_theta = _MODELS[kind].derivs(phi, theta, s)
+        h, k = 1e-5 * abs(phi), 1e-5 * theta
+        probes = cdf_grid(kind, [phi + h, phi - h, phi, phi],
+                          [theta, theta, theta + k, theta - k], s)
+        columns = [(d_theta, (probes[2] - probes[3]) / (2.0 * k))]
+        if d_phi is not None:
+            columns.append((d_phi, (probes[0] - probes[1]) / (2.0 * h)))
+        else:
+            assert kind in (ModelKind.GAMMA, INV_GAMMA)
+        for exact, central in columns:
+            # atol covers the tails, where the difference of two CDFs
+            # near 0 or 1 keeps few digits
+            np.testing.assert_allclose(exact, central, rtol=1e-5,
+                                       atol=1e-9 * np.abs(central).max())
 
 
 def test_cdf_grid_matches_scalar_cdf():

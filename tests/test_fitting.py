@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from test_acceptance import _cramer_rao_rel_sd
 from volgram import distributions as dist
 from volgram.distributions import ALL_KINDS, ModelKind, ModelParams
 from volgram.errors import NoConvergedFits, TooFewSamples
-from volgram.fitting import (EmpiricalCDF, empirical_cdf, error_summary,
-                             fit_cdf, fit_window_all_models)
+from volgram.fitting import (EmpiricalCDF, _jacobian, empirical_cdf,
+                             error_summary, fit_cdf, fit_window_all_models)
+from volgram.langevin import LangevinSpec, simulate_market
 
 INV_GAMMA = ModelKind.INVERSE_GAMMA
 
@@ -149,6 +151,49 @@ def test_fit_window_all_models_on_invgamma_data():
     assert all(r.converged for r in results.values())
     best = min(results, key=lambda k: results[k].rss)
     assert best is INV_GAMMA
+
+
+def test_jacobian_matches_central_difference():
+    s = np.geomspace(0.01, 100.0, 120)
+    ecdf = EmpiricalCDF(s=s, f=np.linspace(0.01, 0.99, s.size), n=s.size)
+    for kind, phi, theta in [(ModelKind.GAMMA, 0.8, 1.3), (INV_GAMMA, 0.93, 1.0),
+                             (ModelKind.LOG_NORMAL, -0.4, 0.9),
+                             (ModelKind.WEIBULL, 1.7, 0.6)]:
+        p = np.array([phi, theta])
+        r = np.asarray(dist.cdf(ModelParams(kind, phi, theta), s)) - ecdf.f
+        jac = _jacobian(kind, p, r, ecdf)
+        h = 1e-5 * np.abs(p)
+        probes = dist.cdf_grid(kind, [phi + h[0], phi - h[0], phi, phi],
+                               [theta, theta, theta + h[1], theta - h[1]], s)
+        central = np.column_stack([(probes[0] - probes[1]) / (2.0 * h[0]),
+                                   (probes[2] - probes[3]) / (2.0 * h[1])])
+        # the gamma family's shape column is a forward difference
+        np.testing.assert_allclose(jac, central, rtol=1e-5,
+                                   atol=1e-8 * np.abs(central).max())
+
+
+def test_concentrated_window_fits_inverse_gamma():
+    # 149 companies, and one holding 99.9% of the volume-price
+    s = np.rint(1e6 / np.linspace(1.0 / 30.0, 1.0, 149))
+    s = np.r_[s, np.rint(s.sum() * 999.0)]
+    result = fit_window_all_models(s / s.mean(), kinds=(INV_GAMMA,))[INV_GAMMA]
+    assert result.converged, result.message
+    assert result.rss < 1.0
+
+
+def test_heavy_tailed_market_window_fits_inverse_gamma():
+    # window 14 of this market has phi 0.907 and one company holding
+    # 99.98% of the volume-price; a start from the (non-existent)
+    # variance stalled there at phi 1.41, rss 666
+    spec = LangevinSpec(dt=1.0, n_steps=40, initial=0.93, seed=119,
+                        drift_slope=-0.2, fixed_point=0.93, diffusion=2e-4)
+    sim = simulate_market(2000, 40, spec, theta=1.0, seed=119)
+    phi_true = float(sim.truth.values[14])
+    result = fit_window_all_models(sim.windows[14], kinds=(INV_GAMMA,))[INV_GAMMA]
+    assert result.converged, result.message
+    assert result.rss < 1.0
+    rel_sd, _ = _cramer_rao_rel_sd(INV_GAMMA, phi_true, 1.0, 2000)
+    assert abs(result.params.phi - phi_true) < 4.0 * rel_sd * phi_true
 
 
 def test_fit_window_too_few_samples():

@@ -1,8 +1,9 @@
-"""Byte-parity listing of volgram's outputs on pinned seeds.
+"""Byte-parity listing and value comparison of volgram's outputs on pinned seeds.
 
 Usage::
 
     python3 tools/parity.py SRC OUTDIR
+    python3 tools/parity.py --compare OLD_OUTDIR NEW_OUTDIR
 
 Runs a fixed four-step recipe through ``python -m volgram.cli`` with
 ``PYTHONPATH=SRC`` inside OUTDIR (created if needed), then prints
@@ -12,6 +13,20 @@ each step, paths relative to OUTDIR.  The quotes CSV comes from the
 compared reads the same input.  To compare two commits, run it once per
 checkout (a second clone or ``git worktree add``) and ``diff`` the two
 listings; any line that differs names an output that moved.
+
+``--compare`` reads two OUTDIRs written by the recipe (parent first) and
+reports how far the values moved, for changes that cannot keep byte
+parity:
+
+* each fit row of the three ``fits.jsonl``: |dphi| and |dtheta| in units
+  of the row's reported standard error (``rel_err * |param|``, the
+  smaller of old and new), and whether the converged flags agree.  Per
+  file and model it prints the largest moves, then every row that moved
+  by more than 1e-3 SE or changed its flag;
+* each number in the ``km.json`` and ``markov.json`` files: the largest
+  relative change per key (list entries share their key), a key whose
+  number of values changed, and any other value (the Markov verdict)
+  that differs.
 
 Steps (all other options default):
 
@@ -29,6 +44,8 @@ Uses only the standard library; the recipe itself needs numpy.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +105,113 @@ OUTPUTS = (
 )
 
 
+FIT_FILES = [rel for rel in OUTPUTS if rel.endswith("fits.jsonl")]
+NUMBER_FILES = [rel for rel in OUTPUTS if rel.endswith(("km.json", "markov.json"))]
+SE_GATE = 1e-3
+
+
+def _fit_rows(path: Path) -> dict[float, dict]:
+    with open(path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return {row["window_start"]: row["models"] for row in rows}
+
+
+def _se_move(old: dict, new: dict, param: str) -> float:
+    """|new - old| of a parameter in units of the smaller of the two rows'
+    reported standard errors; a stalled fit reports a huge one."""
+    se = min((row[f"rel_err_{param}"] or math.nan) * abs(row[param])   # null: unknown
+             for row in (old, new))
+    delta = abs(new[param] - old[param])
+    return delta / se if se > 0.0 else (0.0 if delta == 0.0 else math.inf)
+
+
+def _describe(entry: dict) -> str:
+    state = "converged" if entry["converged"] else "failed"
+    return (f"phi={entry['phi']!r} theta={entry['theta']!r} "
+            f"rss={entry['rss']!r} {state}")
+
+
+def _compare_fits(rel: str, old_dir: Path, new_dir: Path) -> None:
+    old, new = _fit_rows(old_dir / rel), _fit_rows(new_dir / rel)
+    if old.keys() != new.keys():
+        print(f"{rel}: window starts differ: only old {sorted(old.keys() - new.keys())}, "
+              f"only new {sorted(new.keys() - old.keys())}")
+    starts = sorted(old.keys() & new.keys())
+    models = sorted({m for s in starts for m in old[s]})
+    for model in models:
+        moves, flagged, both, flips = {"phi": 0.0, "theta": 0.0}, [], 0, 0
+        for start in starts:
+            o, n = old[start].get(model), new[start].get(model)
+            if o is None or n is None:
+                continue
+            if o["converged"] != n["converged"]:
+                flips += 1
+                flagged.append((start, "flag changed", o, n))
+                continue
+            if not o["converged"]:
+                continue
+            both += 1
+            row = {param: _se_move(o, n, param) for param in moves}
+            for param, move in row.items():
+                moves[param] = max(moves[param], move)
+            if max(row.values()) > SE_GATE:
+                flagged.append((start, f"|dphi| {row['phi']:.3g} SE, "
+                                       f"|dtheta| {row['theta']:.3g} SE", o, n))
+        print(f"{rel} {model}: {len(starts)} rows, {both} converged in both, "
+              f"{flips} flags differ, "
+              f"max |dphi| {moves['phi']:.3g} SE, max |dtheta| {moves['theta']:.3g} SE")
+        for start, why, o, n in flagged:
+            print(f"  window {start!r}: {why}\n    old {_describe(o)}\n"
+                  f"    new {_describe(n)}")
+
+
+def _leaves(doc, key: str = ""):
+    """(key path, value) of every scalar; list indices do not enter the key."""
+    if isinstance(doc, dict):
+        for name, value in doc.items():
+            yield from _leaves(value, f"{key}.{name}" if key else name)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value, key)
+    else:
+        yield key, doc
+
+
+def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> None:
+    values: dict[str, tuple[list, list]] = {}
+    for side, root in enumerate((old_dir, new_dir)):
+        doc = json.loads((root / rel).read_text(encoding="utf-8"))
+        for key, value in _leaves(doc):
+            values.setdefault(key, ([], []))[side].append(value)
+    lines = []
+    for key, (old, new) in values.items():
+        if len(old) != len(new):
+            lines.append(f"  {key}: {len(old)} values -> {len(new)}")
+            continue
+        changes = []
+        for a, b in zip(old, new):
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in (a, b)):
+                if a != b:
+                    lines.append(f"  {key}: {a!r} -> {b!r}")
+                continue
+            delta = abs(b - a)
+            changes.append(delta / abs(a) if a != 0 else (0.0 if delta == 0 else math.inf))
+        if changes and max(changes) > 0.0:
+            lines.append(f"  {key}: max relative change {max(changes):.3g}")
+    print(f"{rel}: {len(values)} keys, {len(lines)} moved")
+    for line in lines:
+        print(line)
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    for rel in FIT_FILES:
+        _compare_fits(rel, old_dir, new_dir)
+    for rel in NUMBER_FILES:
+        _compare_numbers(rel, old_dir, new_dir)
+    return 0
+
+
 def _run(argv: list[str], cwd: Path, env: dict, log) -> None:
     proc = subprocess.run(argv, cwd=cwd, env=env, stderr=subprocess.PIPE)
     log.write(proc.stderr)
@@ -97,8 +221,12 @@ def _run(argv: list[str], cwd: Path, env: dict, log) -> None:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
-        print("usage: python3 tools/parity.py SRC OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/parity.py SRC OUTDIR\n"
+              "       python3 tools/parity.py --compare OLD_OUTDIR NEW_OUTDIR",
+              file=sys.stderr)
         return 1
     src, outdir = Path(argv[0]).resolve(), Path(argv[1])
     if not (src / "volgram" / "cli.py").is_file():
