@@ -9,8 +9,8 @@ from .kramers_moyal import (ConditionalMoments, KMCoefficients,
                             MarkovTestResult, ParamSeries, conditional_moments,
                             estimate_measurement_noise, km_estimate,
                             markov_test)
-from .langevin import (GBMSpec, LangevinSpec, MarketSim, add_measurement_noise,
-                       simulate_gbm, simulate_langevin, simulate_market)
+from .langevin import (LangevinSpec, MarketSim, add_measurement_noise,
+                       simulate_langevin, simulate_market)
 from .market_data import (QuoteRecord, SnapshotWindow, build_windows,
                           parse_quotes, read_windows_jsonl,
                           write_windows_jsonl)
@@ -25,8 +25,8 @@ __all__ = [
     "ConditionalMoments", "KMCoefficients", "MarkovTestResult", "ParamSeries",
     "conditional_moments", "estimate_measurement_noise", "km_estimate",
     "markov_test",
-    "GBMSpec", "LangevinSpec", "MarketSim", "add_measurement_noise",
-    "simulate_gbm", "simulate_langevin", "simulate_market",
+    "LangevinSpec", "MarketSim", "add_measurement_noise",
+    "simulate_langevin", "simulate_market",
     "QuoteRecord", "SnapshotWindow", "build_windows", "parse_quotes",
     "read_windows_jsonl", "write_windows_jsonl",
 ]

@@ -7,7 +7,7 @@ Subcommands compose the library stages::
     summary   fit JSONL -> error-statistics JSON
     km        fit JSONL or series JSON -> drift/diffusion JSON
     markov    fit JSONL or series JSON -> Markov-test JSON
-    simulate  langevin | gbm | market generators
+    simulate  langevin | market generators
     pipeline  ingest -> fit -> summary -> km -> markov in one pass
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
@@ -56,7 +56,7 @@ def _write_json(path: Path, payload: dict) -> None:
     payload = {"format_version": FORMAT_VERSION, **payload}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(strict_dumps(payload, indent=1) + "\n")
+        fh.write(strict_dumps(payload) + "\n")
 
 
 def _read_fit_rows(path: Path) -> list[dict]:
@@ -459,12 +459,6 @@ def _cmd_simulate(args) -> int:
             series = langevin.add_measurement_noise(series, args.noise_sigma,
                                                     seed=args.seed + 1)
         _write_json(out, _series_payload(series))
-    elif args.generator == "gbm":
-        spec = langevin.GBMSpec(mu=args.mu, sigma=args.sigma, s0=args.s0,
-                                dt=args.dt, n_steps=args.steps, seed=args.seed)
-        path = langevin.simulate_gbm(spec)
-        _write_json(out, {"kind": "gbm-path", "dt": args.dt,
-                          "prices": path.tolist()})
     else:
         spec = langevin.LangevinSpec(
             dt=1.0, n_steps=args.windows, initial=args.initial,
@@ -611,16 +605,6 @@ def build_parser() -> _Parser:
     g.add_argument("--fixed-point", type=float, default=0.93)
     g.add_argument("--diffusion", type=float, default=1e-6)
     g.add_argument("--noise-sigma", type=float, default=0.0)
-    g.add_argument("--seed", type=int, default=0)
-    g.set_defaults(func=_cmd_simulate)
-
-    g = gen.add_parser("gbm")
-    g.add_argument("--output", required=True)
-    g.add_argument("--steps", type=int, default=10**4)
-    g.add_argument("--dt", type=float, default=1.0)
-    g.add_argument("--mu", type=float, default=0.1)
-    g.add_argument("--sigma", type=float, default=0.2)
-    g.add_argument("--s0", type=float, default=1.0)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=_cmd_simulate)
 

@@ -155,8 +155,8 @@ def _log_normal_log_pdf(phi, theta, s):
 
 def _log_normal_derivs(phi, theta, s):
     z = (np.log(s) - phi) / theta
-    density = np.exp(-0.5 * z * z - _LOG_SQRT_TWO_PI) / theta
-    return -density, -z * density
+    density = np.exp(-0.5 * z * z - _LOG_SQRT_TWO_PI)
+    return -density / theta, -z * density
 
 
 def _log_normal_guess(arr):
@@ -183,8 +183,8 @@ def _weibull_derivs(phi, theta, s):
     log_ratio = np.log(s) - math.log(theta)
     log_u = phi * log_ratio
     u_exp_u = np.exp(log_u - np.exp(log_u))      # u e^-u, finite for any u
-    # a scale family too: dF/dtheta = -s f(s) / theta = -phi u e^-u / theta
-    return u_exp_u * log_ratio, -phi * u_exp_u / theta
+    # a scale family too: dF/dln(theta) = -s f(s) = -phi u e^-u
+    return u_exp_u * log_u, -phi * u_exp_u
 
 
 def _weibull_guess(arr):
@@ -207,14 +207,15 @@ class _Model:
     ``cdf`` takes phi and theta as columns broadcast against a row of s,
     so one call covers a whole probe grid; it looks the special functions
     up as module globals when called.  The other entries take scalar
-    parameters.  ``derivs`` gives dF/dphi and dF/dtheta over s in closed
-    form; its dF/dphi is None for the gamma family, where the fitter
-    takes the shape derivative of the incomplete gamma function as a
-    one-row forward difference.
+    parameters.  ``derivs`` gives the derivatives of F over s, in closed
+    form, in the fitter's parameters q = (ln phi, ln theta), or
+    (phi, ln theta) where phi may be negative; its dF/dq0 is None for
+    the gamma family, where the fitter takes the shape derivative of the
+    incomplete gamma function as a one-row forward difference.
     """
     cdf: Callable          # (phi, theta, s) -> F
     log_pdf: Callable      # (phi, theta, s) -> ln f
-    derivs: Callable       # (phi, theta, s) -> (dF/dphi or None, dF/dtheta)
+    derivs: Callable       # (phi, theta, s) -> (dF/dq0 or None, dF/dq1)
     moments: Callable      # (phi, theta) -> Moments
     draw: Callable         # (rng, phi, theta, n) -> n samples
     guess: Callable        # (samples) -> (phi, theta)
@@ -232,10 +233,10 @@ def _inverse_gamma_log_pdf(phi, theta, s):
 
 
 def _gamma_family_derivs(log_pdf):
-    """No dF/dphi; theta is a scale, F(s) = G(s/theta), so
-    dF/dtheta = -s f(s) / theta."""
+    """No shape derivative; theta is a scale, F(s) = G(s/theta), so
+    dF/dln(theta) = -s f(s)."""
     def derivs(phi, theta, s):
-        return None, -np.exp(log_pdf(phi, theta, s) + np.log(s)) / theta
+        return None, -np.exp(log_pdf(phi, theta, s) + np.log(s))
     return derivs
 
 

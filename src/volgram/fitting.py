@@ -1,17 +1,22 @@
 """Least-squares fitting of model CDFs to per-window empirical CDFs.
 
 The optimizer is a damped Gauss-Newton iteration with a Levenberg-style
-multiplier on the normal-equation diagonal.  Its Jacobian comes from the
-closed-form derivatives in the model table; only the gamma family's
-shape column is a forward difference, one ``cdf_grid`` row per
-iteration.  Parameter errors come from the usual linearization
-``cov = (J^T J)^{-1} rss / (m - 2)``; the relative errors
-``stderr(phi)/|phi|`` and ``stderr(theta)/|theta|`` are the per-window
-quality measure that the cross-model ranking aggregates.
+multiplier on the normal-equation diagonal.  It iterates on
+q = (ln phi, ln theta), with the log-normal's phi (a log-mean) kept
+linear, so no step can leave the parameter domain.  Its Jacobian comes
+from the closed-form derivatives in q of the model table; only the
+gamma family's shape column is a forward difference, one ``cdf_grid``
+row per iteration.  Parameter errors come from the usual linearization
+``cov = (J^T J)^{-1} rss / (m - 2)`` in q, so the relative errors
+``stderr(phi)/|phi|`` and ``stderr(theta)/|theta|`` are the standard
+errors of ln phi and ln theta (of phi over |phi| for the log-normal);
+they are the per-window quality measure that the cross-model ranking
+aggregates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,9 @@ from .distributions import (ALL_KINDS, EmpiricalCDF, ModelKind, ModelParams,
                             empirical_cdf)
 from .errors import NoConvergedFits, VolgramError
 
-_PARAM_FLOOR = 1e-12
 _STEP_TOL = 1e-9
-_GRAD_TOL = 1e-10
+_SHAPE_STEP = 1e-6
 _MAX_ITER = 200
-_MAX_CLAMPS = 20
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
 
@@ -60,26 +63,29 @@ class ErrorSummary:
     n_failed: int
 
 
-def _lower_bounds(kind: ModelKind) -> np.ndarray:
-    phi_floor = _PARAM_FLOOR if dist._MODELS[kind].phi_positive else -np.inf
-    return np.array([phi_floor, _PARAM_FLOOR])
+def _params(kind: ModelKind, q: np.ndarray) -> ModelParams:
+    """(phi, theta) at q.  An exp that overflows gives inf and one that
+    underflows gives 0, both outside the domain."""
+    with np.errstate(over="ignore"):
+        phi, theta = np.exp(q)
+    if not dist._MODELS[kind].phi_positive:
+        phi = q[0]
+    return ModelParams(kind, float(phi), float(theta))
 
 
-def _residual(kind: ModelKind, p: np.ndarray, ecdf: EmpiricalCDF) -> np.ndarray:
-    model = dist.cdf(ModelParams(kind, float(p[0]), float(p[1])), ecdf.s)
-    return np.asarray(model) - ecdf.f
+def _residual(params: ModelParams, ecdf: EmpiricalCDF) -> np.ndarray:
+    return np.asarray(dist.cdf(params, ecdf.s)) - ecdf.f
 
 
-def _jacobian(kind: ModelKind, p: np.ndarray, r: np.ndarray,
-              ecdf: EmpiricalCDF) -> np.ndarray:
-    d_phi, d_theta = dist._MODELS[kind].derivs(float(p[0]), float(p[1]), ecdf.s)
-    if d_phi is None:
-        # forward difference, step max(1e-6 phi, 1e-9), from the model
-        # CDF that the residual r already holds
-        hi = p[0] + max(1e-6 * p[0], 1e-9)
-        probe = dist.cdf_grid(kind, [hi], [p[1]], ecdf.s)[0]
-        d_phi = (probe - (r + ecdf.f)) / (hi - p[0])
-    return np.column_stack([d_phi, d_theta])
+def _jacobian(params: ModelParams, r: np.ndarray, ecdf: EmpiricalCDF) -> np.ndarray:
+    kind, phi, theta = params.kind, params.phi, params.theta
+    d_q0, d_q1 = dist._MODELS[kind].derivs(phi, theta, ecdf.s)
+    if d_q0 is None:
+        # forward difference in ln phi, from the model CDF that the
+        # residual r already holds
+        probe = dist.cdf_grid(kind, [phi * math.exp(_SHAPE_STEP)], [theta], ecdf.s)[0]
+        d_q0 = (probe - (r + ecdf.f)) / _SHAPE_STEP
+    return np.column_stack([d_q0, d_q1])
 
 
 def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResult:
@@ -89,11 +95,11 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
 
     Each iteration costs one Jacobian from the model table's derivatives
     (plus one ``cdf_grid`` row for the gamma-family shape) and one
-    residual per damping trial.  Converges when the relative parameter
-    step drops below 1e-9 or the gradient norm below 1e-10, capped at
-    200 iterations.  A step that leaves the parameter domain is
-    clamped; twenty consecutive clamped steps abort the fit.  Singular normal equations are reported in the
-    result rather than raised.
+    residual per damping trial; a trial outside the parameter domain,
+    where exp(q) overflows or underflows, is rejected like one that
+    raises the rss.  Converges when every component of the step in q
+    drops below 1e-9, capped at 200 iterations.  Singular normal
+    equations are reported in the result rather than raised.
     """
     if guess.kind is not kind:
         raise VolgramError(f"guess is for {guess.kind}, expected {kind}")
@@ -103,23 +109,20 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
     if m < 3:
         return FitResult(guess, np.inf, np.inf, np.inf, False, 0,
                          "fewer than 3 distinct CDF points")
-    lb = _lower_bounds(kind)
-    p = np.array([guess.phi, guess.theta], dtype=float)
-    r = _residual(kind, p, ecdf)
+    log_phi = dist._MODELS[kind].phi_positive
+    q = np.array([math.log(guess.phi) if log_phi else guess.phi,
+                  math.log(guess.theta)])
+    params = guess
+    r = _residual(params, ecdf)
     rss = float(r @ r)
     lam = _LAMBDA_INIT
     converged = False
     message = "iteration cap reached"
-    clamp_streak = 0
     for iters in range(1, _MAX_ITER + 1):
-        jac = _jacobian(kind, p, r, ecdf)
+        jac = _jacobian(params, r, ecdf)
         # the last iteration's J^T J also gives the covariance below
         jtj = jac.T @ jac
         grad = jac.T @ r
-        if float(np.linalg.norm(grad)) < _GRAD_TOL:
-            converged = True
-            message = "gradient norm below tolerance"
-            break
         diag = np.diag(jtj).copy()
         if not np.all(np.isfinite(jtj)) or np.any(diag <= 0.0):
             message = "singular Jacobian"
@@ -132,35 +135,28 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
             except np.linalg.LinAlgError:
                 stop = "singular Jacobian"
                 break
-            trial = p + step
-            clamped = np.any(trial < lb)
-            trial = np.maximum(trial, lb)
-            r_trial = _residual(kind, trial, ecdf)
-            rss_trial = float(r_trial @ r_trial)
-            if np.isfinite(rss_trial) and rss_trial <= rss:
-                rel_step = float(np.max(np.abs(trial - p)
-                                        / np.maximum(np.abs(p), _PARAM_FLOOR)))
-                p, r, rss = trial, r_trial, rss_trial
-                lam = max(lam / 10.0, 1e-12)
-                clamp_streak = clamp_streak + 1 if clamped else 0
-                stop = None
-                if clamp_streak >= _MAX_CLAMPS:
-                    stop = "domain escape: step clamping repeated"
-                elif rel_step < _STEP_TOL:
-                    converged = True
-                    stop = "parameter step below tolerance"
-                break
+            trial = _params(kind, q + step)
+            if trial.is_valid():
+                r_trial = _residual(trial, ecdf)
+                rss_trial = float(r_trial @ r_trial)
+                if np.isfinite(rss_trial) and rss_trial <= rss:
+                    q, params, r, rss = q + step, trial, r_trial, rss_trial
+                    lam = max(lam / 10.0, 1e-12)
+                    stop = None
+                    if float(np.max(np.abs(step))) < _STEP_TOL:
+                        converged = True
+                        stop = "parameter step below tolerance"
+                    break
             lam *= 10.0
         if stop is not None:
             message = stop
             break
-    params = ModelParams(kind, float(p[0]), float(p[1]))
     rel_phi = rel_theta = np.inf
     try:
         cov = np.linalg.inv(jtj) * rss / (m - 2)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        rel_phi = float(se[0] / max(abs(p[0]), _PARAM_FLOOR))
-        rel_theta = float(se[1] / max(abs(p[1]), _PARAM_FLOOR))
+        rel_phi = float(se[0] if log_phi else se[0] / abs(params.phi))
+        rel_theta = float(se[1])
     except np.linalg.LinAlgError:
         converged = False
         message = "singular Jacobian"

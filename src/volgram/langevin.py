@@ -2,11 +2,9 @@
 
 ``simulate_langevin`` integrates ``d phi = D1 dt + sqrt(D2) dW`` by
 Euler-Maruyama under the 2-delta Wiener normalization, so each step adds
-noise of variance ``2 D2 dt``.  ``simulate_gbm`` uses the exact
-log-space update of geometric Brownian motion, whose Wiener process
-carries the standard normalization (variance ``dt`` per step).
-``simulate_market`` combines the two layers: an inverse-gamma cross
-section per window whose tail parameter follows a Langevin trajectory.
+noise of variance ``2 D2 dt``.  ``simulate_market`` builds on it: an
+inverse-gamma cross section per window whose tail parameter follows a
+Langevin trajectory.
 """
 
 from __future__ import annotations
@@ -63,26 +61,6 @@ class LangevinSpec:
 
 
 @dataclass(frozen=True)
-class GBMSpec:
-    mu: float
-    sigma: float
-    s0: float
-    dt: float
-    n_steps: int
-    seed: int
-
-    def __post_init__(self):
-        if self.s0 <= 0.0:
-            raise DomainError("S0 must be positive")
-        if self.dt <= 0.0:
-            raise DomainError("dt must be positive")
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be >= 1")
-        if self.sigma < 0.0:
-            raise DomainError("sigma must be non-negative")
-
-
-@dataclass(frozen=True)
 class MarketSim:
     """Synthetic market windows plus the tail-parameter ground truth."""
     windows: list[SnapshotWindow]
@@ -136,18 +114,6 @@ def add_measurement_noise(series: ParamSeries, sigma_m: float,
     noisy = series.values + rng.normal(0.0, sigma_m, size=len(series))
     return ParamSeries(times=series.times.copy(), values=noisy,
                        dt=series.dt, gaps=series.gaps.copy())
-
-
-def simulate_gbm(spec: GBMSpec) -> np.ndarray:
-    """Exact log-space GBM path of n_steps + 1 prices starting at S0."""
-    rng = np.random.default_rng(spec.seed)
-    xi = rng.standard_normal(spec.n_steps)
-    log_inc = (spec.mu - 0.5 * spec.sigma ** 2) * spec.dt \
-        + spec.sigma * math.sqrt(spec.dt) * xi
-    path = np.empty(spec.n_steps + 1)
-    path[0] = spec.s0
-    path[1:] = spec.s0 * np.exp(np.cumsum(log_inc))
-    return path
 
 
 def simulate_market(n_companies: int, n_windows: int,

@@ -230,15 +230,15 @@ def window_from_dict(d: dict) -> SnapshotWindow:
     )
 
 
-def strict_dumps(obj, **kwargs) -> str:
+def strict_dumps(obj) -> str:
     """``json.dumps`` for every volgram file: strict JSON, with each NaN or
     infinite float written as ``null``."""
     try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        return json.dumps(obj, allow_nan=False)
     except ValueError:
         # floats round-trip through their repr, so only the constants move
         obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        return json.dumps(obj, allow_nan=False)
 
 
 def write_windows_jsonl(windows, fh) -> None:

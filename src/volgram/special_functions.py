@@ -4,11 +4,12 @@ Everything here is plain numpy so that a whole empirical-CDF grid can be
 evaluated in one call.  The incomplete gamma uses the standard split:
 series expansion for ``x < a + 1``, continued fraction (modified Lentz)
 otherwise, both iterated to 1e-15 with a cap of 500 terms.  The error
-function is evaluated through the incomplete gamma via
-``erf(x) = sign(x) * P(1/2, x^2)``.
+function is the standard library's ``math.erf``, applied elementwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,6 +35,8 @@ _LANCZOS = (
 )
 
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297
+
+_MATH_ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -195,10 +198,9 @@ def reg_inc_gamma_upper(a, x):
 
 
 def erf(x):
-    """Error function, via erf(x) = sign(x) P(1/2, x^2)."""
+    """Error function of finite x, ``math.erf`` over each element."""
     arr, scalar = _as_array(x)
     if np.any(~np.isfinite(arr)):
         raise DomainError(f"erf requires finite x, got {x!r}")
-    mag = reg_inc_gamma_lower(0.5, np.square(arr))
-    out = np.sign(arr) * np.asarray(mag)
+    out = np.asarray(_MATH_ERF(arr), dtype=float)
     return float(out) if scalar else out

@@ -408,16 +408,6 @@ def test_fit_parallel_matches_serial(tmp_path):
     assert serial.read_text() == parallel.read_text()
 
 
-def test_simulate_gbm_output(tmp_path):
-    out = tmp_path / "gbm.json"
-    assert main(["simulate", "gbm", "--output", str(out), "--steps", "100",
-                 "--seed", "5"]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["format_version"] == 1
-    assert len(doc["prices"]) == 101
-    assert all(p > 0 for p in doc["prices"])
-
-
 def test_simulate_langevin_with_noise(tmp_path):
     out = tmp_path / "series.json"
     assert main(["simulate", "langevin", "--output", str(out),

@@ -211,14 +211,20 @@ _DERIV_POINTS = [(0.5, 0.3), (0.93, 1.0), (2.5, 4.0), (7.0, 0.2)]
 def test_table_derivatives_match_central_difference(kind):
     s = np.geomspace(1e-3, 1e3, 200)
     points = _DERIV_POINTS + ([(-0.7, 0.6)] if kind is ModelKind.LOG_NORMAL else [])
+    # derivatives in q = (ln phi, ln theta), and (phi, ln theta) for the
+    # log-normal
+    h = 1e-5
     for phi, theta in points:
-        d_phi, d_theta = _MODELS[kind].derivs(phi, theta, s)
-        h, k = 1e-5 * abs(phi), 1e-5 * theta
-        probes = cdf_grid(kind, [phi + h, phi - h, phi, phi],
-                          [theta, theta, theta + k, theta - k], s)
-        columns = [(d_theta, (probes[2] - probes[3]) / (2.0 * k))]
-        if d_phi is not None:
-            columns.append((d_phi, (probes[0] - probes[1]) / (2.0 * h)))
+        d_q0, d_q1 = _MODELS[kind].derivs(phi, theta, s)
+        if kind is ModelKind.LOG_NORMAL:
+            phis = [phi + h, phi - h]
+        else:
+            phis = [phi * np.exp(h), phi * np.exp(-h)]
+        probes = cdf_grid(kind, [*phis, phi, phi],
+                          [theta, theta, theta * np.exp(h), theta * np.exp(-h)], s)
+        columns = [(d_q1, (probes[2] - probes[3]) / (2.0 * h))]
+        if d_q0 is not None:
+            columns.append((d_q0, (probes[0] - probes[1]) / (2.0 * h)))
         else:
             assert kind in (ModelKind.GAMMA, INV_GAMMA)
         for exact, central in columns:

@@ -107,6 +107,20 @@ def test_fit_boundary_guess_never_nan():
         assert result.message
 
 
+@pytest.mark.parametrize("guess", [ModelParams(INV_GAMMA, 1.5, 1e300),
+                                   ModelParams(INV_GAMMA, 1e300, 1.0),
+                                   ModelParams(ModelKind.LOG_NORMAL, -1e300, 1.0)])
+def test_fit_from_extreme_start_stays_finite(guess):
+    # starts so far out that the model CDF is saturated, and the
+    # log-normal's z overflows its square
+    samples = dist.sample(ModelParams(INV_GAMMA, 1.5, 1.0), 500, seed=5)
+    result = fit_cdf(guess.kind, empirical_cdf(samples), guess)
+    assert np.isfinite(result.params.phi)
+    assert np.isfinite(result.params.theta)
+    if not result.converged:
+        assert result.message
+
+
 def test_refit_from_solution_is_fixed_point():
     true = ModelParams(ModelKind.GAMMA, 2.0, 1.0)
     samples = dist.sample(true, 2000, seed=17)
@@ -154,19 +168,25 @@ def test_fit_window_all_models_on_invgamma_data():
 
 
 def test_jacobian_matches_central_difference():
+    # the columns are dF/dq, q = (ln phi, ln theta), and (phi, ln theta)
+    # for the log-normal
     s = np.geomspace(0.01, 100.0, 120)
     ecdf = EmpiricalCDF(s=s, f=np.linspace(0.01, 0.99, s.size), n=s.size)
+    h = 1e-5
     for kind, phi, theta in [(ModelKind.GAMMA, 0.8, 1.3), (INV_GAMMA, 0.93, 1.0),
                              (ModelKind.LOG_NORMAL, -0.4, 0.9),
                              (ModelKind.WEIBULL, 1.7, 0.6)]:
-        p = np.array([phi, theta])
-        r = np.asarray(dist.cdf(ModelParams(kind, phi, theta), s)) - ecdf.f
-        jac = _jacobian(kind, p, r, ecdf)
-        h = 1e-5 * np.abs(p)
-        probes = dist.cdf_grid(kind, [phi + h[0], phi - h[0], phi, phi],
-                               [theta, theta, theta + h[1], theta - h[1]], s)
-        central = np.column_stack([(probes[0] - probes[1]) / (2.0 * h[0]),
-                                   (probes[2] - probes[3]) / (2.0 * h[1])])
+        params = ModelParams(kind, phi, theta)
+        r = np.asarray(dist.cdf(params, s)) - ecdf.f
+        jac = _jacobian(params, r, ecdf)
+        if kind is ModelKind.LOG_NORMAL:
+            phis = [phi + h, phi - h]
+        else:
+            phis = [phi * np.exp(h), phi * np.exp(-h)]
+        probes = dist.cdf_grid(kind, [*phis, phi, phi],
+                               [theta, theta, theta * np.exp(h), theta * np.exp(-h)], s)
+        central = np.column_stack([(probes[0] - probes[1]) / (2.0 * h),
+                                   (probes[2] - probes[3]) / (2.0 * h)])
         # the gamma family's shape column is a forward difference
         np.testing.assert_allclose(jac, central, rtol=1e-5,
                                    atol=1e-8 * np.abs(central).max())
@@ -194,6 +214,18 @@ def test_heavy_tailed_market_window_fits_inverse_gamma():
     assert result.rss < 1.0
     rel_sd, _ = _cramer_rao_rel_sd(INV_GAMMA, phi_true, 1.0, 2000)
     assert abs(result.params.phi - phi_true) < 4.0 * rel_sd * phi_true
+
+
+def test_stalled_start_is_never_converged():
+    # from the variance-based start of seed-119 window 14 the CDF is
+    # saturated and the fit stalls at rss 666; an absolute gradient stop
+    # once called that converged
+    spec = LangevinSpec(dt=1.0, n_steps=40, initial=0.93, seed=119,
+                        drift_slope=-0.2, fixed_point=0.93, diffusion=2e-4)
+    window = simulate_market(2000, 40, spec, theta=1.0, seed=119).windows[14]
+    guess = ModelParams(INV_GAMMA, 2.0005004302798013, 1.0005004302798006)
+    result = fit_cdf(INV_GAMMA, empirical_cdf(window.samples), guess)
+    assert not (result.converged and result.rss > 1.0), result
 
 
 def test_fit_window_too_few_samples():

@@ -10,8 +10,8 @@ from volgram.fitting import empirical_cdf, fit_cdf
 from volgram import distributions as dist
 from volgram.distributions import ModelKind
 from volgram.kramers_moyal import conditional_moments, km_estimate
-from volgram.langevin import (GBMSpec, LangevinSpec, add_measurement_noise,
-                              simulate_gbm, simulate_langevin, simulate_market)
+from volgram.langevin import (LangevinSpec, add_measurement_noise,
+                              simulate_langevin, simulate_market)
 
 
 def test_langevin_spec_validation():
@@ -128,37 +128,6 @@ def test_add_measurement_noise_contracts():
     lag1 = np.corrcoef(added[:-1], added[1:])[0, 1]
     assert abs(lag1) < 0.01
     assert np.array_equal(noisy.gaps, series.gaps)
-
-
-def test_gbm_deterministic_limit_and_positivity():
-    spec = GBMSpec(mu=0.1, sigma=0.0, s0=2.0, dt=0.125, n_steps=8, seed=0)
-    path = simulate_gbm(spec)
-    assert path[0] == 2.0
-    assert path[-1] == pytest.approx(2.0 * math.exp(0.1), rel=1e-12)
-    wild = simulate_gbm(GBMSpec(mu=-0.5, sigma=1.5, s0=1.0, dt=0.01,
-                                n_steps=10_000, seed=3))
-    assert np.all(wild > 0.0)
-
-
-def test_gbm_log_increment_statistics():
-    # parameters keep log S_T inside double range over 1e6 steps while
-    # leaving the mean-increment check enough signal for a 3% tolerance
-    mu, sigma, dt = 2.0, 0.1, 1.6e-5
-    spec = GBMSpec(mu=mu, sigma=sigma, s0=1.0, dt=dt, n_steps=10**6, seed=21)
-    inc = np.diff(np.log(simulate_gbm(spec)))
-    assert inc.mean() == pytest.approx((mu - 0.5 * sigma**2) * dt, rel=0.03)
-    assert inc.var() == pytest.approx(sigma**2 * dt, rel=0.03)
-
-
-def test_gbm_terminal_mean():
-    # E[S_T] = S0 exp(mu T)
-    mu, sigma, n_paths = 0.1, 0.2, 20_000
-    finals = np.empty(n_paths)
-    for i in range(n_paths):
-        finals[i] = simulate_gbm(GBMSpec(mu=mu, sigma=sigma, s0=1.0,
-                                         dt=0.125, n_steps=8,
-                                         seed=5000 + i))[-1]
-    assert finals.mean() == pytest.approx(math.exp(mu), rel=0.02)
 
 
 def test_convention_round_trip_pure_diffusion():

@@ -133,6 +133,8 @@ def test_erf_vectorized_bounds():
     assert out.shape == x.shape
     assert np.all(np.abs(out) <= 1.0)
     assert np.all(np.diff(out) >= 0.0)
+    # finite arguments whose square overflows
+    assert np.array_equal(erf(np.array([1e155, -1e155])), [1.0, -1.0])
 
 
 def test_erf_rejects_non_finite():

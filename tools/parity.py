@@ -28,6 +28,10 @@ parity:
   number of values changed, and any other value (the Markov verdict)
   that differs.
 
+It exits 1 if a converged fit moved by more than 1e-3 SE, a converged
+flag changed, a window or a key's value count changed, or a
+non-numeric value differs, and 0 otherwise.
+
 Steps (all other options default):
 
 1. ``simulate market`` of 140 windows (seed 119), then ``pipeline``
@@ -131,9 +135,11 @@ def _describe(entry: dict) -> str:
             f"rss={entry['rss']!r} {state}")
 
 
-def _compare_fits(rel: str, old_dir: Path, new_dir: Path) -> None:
+def _compare_fits(rel: str, old_dir: Path, new_dir: Path) -> int:
+    """Print the moves of one fit file; return how many breach the gate."""
     old, new = _fit_rows(old_dir / rel), _fit_rows(new_dir / rel)
-    if old.keys() != new.keys():
+    breaches = len(old.keys() ^ new.keys())
+    if breaches:
         print(f"{rel}: window starts differ: only old {sorted(old.keys() - new.keys())}, "
               f"only new {sorted(new.keys() - old.keys())}")
     starts = sorted(old.keys() & new.keys())
@@ -163,6 +169,8 @@ def _compare_fits(rel: str, old_dir: Path, new_dir: Path) -> None:
         for start, why, o, n in flagged:
             print(f"  window {start!r}: {why}\n    old {_describe(o)}\n"
                   f"    new {_describe(n)}")
+        breaches += len(flagged)
+    return breaches
 
 
 def _leaves(doc, key: str = ""):
@@ -177,16 +185,18 @@ def _leaves(doc, key: str = ""):
         yield key, doc
 
 
-def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> None:
+def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> int:
+    """Print the moves of one number file; return how many breach the gate."""
     values: dict[str, tuple[list, list]] = {}
     for side, root in enumerate((old_dir, new_dir)):
         doc = json.loads((root / rel).read_text(encoding="utf-8"))
         for key, value in _leaves(doc):
             values.setdefault(key, ([], []))[side].append(value)
-    lines = []
+    lines, breaches = [], 0
     for key, (old, new) in values.items():
         if len(old) != len(new):
             lines.append(f"  {key}: {len(old)} values -> {len(new)}")
+            breaches += 1
             continue
         changes = []
         for a, b in zip(old, new):
@@ -194,6 +204,7 @@ def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> None:
                        for x in (a, b)):
                 if a != b:
                     lines.append(f"  {key}: {a!r} -> {b!r}")
+                    breaches += 1
                 continue
             delta = abs(b - a)
             changes.append(delta / abs(a) if a != 0 else (0.0 if delta == 0 else math.inf))
@@ -202,14 +213,14 @@ def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> None:
     print(f"{rel}: {len(values)} keys, {len(lines)} moved")
     for line in lines:
         print(line)
+    return breaches
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:
-    for rel in FIT_FILES:
-        _compare_fits(rel, old_dir, new_dir)
-    for rel in NUMBER_FILES:
-        _compare_numbers(rel, old_dir, new_dir)
-    return 0
+    breaches = sum(_compare_fits(rel, old_dir, new_dir) for rel in FIT_FILES)
+    breaches += sum(_compare_numbers(rel, old_dir, new_dir) for rel in NUMBER_FILES)
+    print(f"{breaches} breaches of the value-parity gate")
+    return 1 if breaches else 0
 
 
 def _run(argv: list[str], cwd: Path, env: dict, log) -> None:
