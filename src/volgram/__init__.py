@@ -3,7 +3,7 @@
 from .distributions import (ALL_KINDS, EmpiricalCDF, ModelKind, ModelParams,
                             analytic_moments, cdf, empirical_cdf, initial_guess,
                             pdf, sample)
-from .fitting import (ErrorSummary, FitResult, error_summary, fit_cdf,
+from .fitting import (FitResult, error_summary, fit_cdf,
                       fit_window_all_models)
 from .kramers_moyal import (ConditionalMoments, KMCoefficients,
                             MarkovTestResult, ParamSeries, conditional_moments,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_KINDS", "ModelKind", "ModelParams", "analytic_moments", "cdf",
     "initial_guess", "pdf", "sample",
-    "EmpiricalCDF", "ErrorSummary", "FitResult", "empirical_cdf",
+    "EmpiricalCDF", "FitResult", "empirical_cdf",
     "error_summary", "fit_cdf", "fit_window_all_models",
     "ConditionalMoments", "KMCoefficients", "MarkovTestResult", "ParamSeries",
     "conditional_moments", "estimate_measurement_noise", "km_estimate",

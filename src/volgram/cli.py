@@ -215,25 +215,6 @@ def _series_payload(series: km_mod.ParamSeries) -> dict:
 
 # -- report builders -------------------------------------------------------
 
-def summary_payload(summary: fitting.ErrorSummary) -> dict:
-    models = {}
-    for kind, st in summary.per_model.items():
-        models[kind.value] = {
-            "avg_rel_err_phi": st.avg_rel_err_phi,
-            "std_rel_err_phi": st.std_rel_err_phi,
-            "avg_rel_err_theta": st.avg_rel_err_theta,
-            "std_rel_err_theta": st.std_rel_err_theta,
-            "n_converged": st.n_converged,
-            "n_failed": st.n_failed,
-            "hist_phi": {"edges": st.hist_phi[0].tolist(),
-                         "counts": st.hist_phi[1].tolist()},
-            "hist_theta": {"edges": st.hist_theta[0].tolist(),
-                           "counts": st.hist_theta[1].tolist()},
-        }
-    return {"models": models, "n_windows": summary.n_windows,
-            "n_failed": summary.n_failed}
-
-
 def km_payload(moments: km_mod.ConditionalMoments,
                km: km_mod.KMCoefficients) -> dict:
     """The km.json report; the pipeline fills in ``markov``."""
@@ -389,8 +370,7 @@ def _ingest(input_path: Path, output_path: Path, window_len: float,
 
 
 def _summary(rows: list[dict], hist_bins: int) -> dict:
-    summary = fitting.error_summary(_results_from_rows(rows), hist_bins=hist_bins)
-    return summary_payload(summary)
+    return fitting.error_summary(_results_from_rows(rows), hist_bins=hist_bins)
 
 
 def _km(series: km_mod.ParamSeries, n_bins: int, tau_max: int, min_count: int,
@@ -558,7 +538,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="volgram",
                      description="volume-price distribution fitting and "
                                  "tail-parameter Langevin reconstruction")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="quotes CSV to windows JSONL")
@@ -648,7 +627,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)

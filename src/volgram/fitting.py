@@ -44,25 +44,6 @@ class FitResult:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class ModelErrorStats:
-    avg_rel_err_phi: float
-    std_rel_err_phi: float
-    avg_rel_err_theta: float
-    std_rel_err_theta: float
-    n_converged: int
-    n_failed: int
-    hist_phi: tuple[np.ndarray, np.ndarray]
-    hist_theta: tuple[np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
-class ErrorSummary:
-    per_model: dict[ModelKind, ModelErrorStats]
-    n_windows: int
-    n_failed: int
-
-
 def _params(kind: ModelKind, q: np.ndarray) -> ModelParams:
     """(phi, theta) at q.  An exp that overflows gives inf and one that
     underflows gives 0, both outside the domain."""
@@ -186,13 +167,14 @@ def fit_window_all_models(window, kinds: tuple[ModelKind, ...] = ALL_KINDS,
 
 
 def error_summary(results: list[dict[ModelKind, FitResult]],
-                  hist_bins: int = 64) -> ErrorSummary:
-    """Average/std of the relative parameter errors per model, over the
-    converged fits, with histogram arrays for the error distributions."""
+                  hist_bins: int = 64) -> dict:
+    """The summary report: average/std of the relative parameter errors
+    per model, over the converged fits, with histograms of the error
+    distributions, keyed by model name."""
     if not results:
         raise NoConvergedFits("no fit results to summarize")
     kinds = [k for k in ALL_KINDS if any(k in row for row in results)]
-    per_model: dict[ModelKind, ModelErrorStats] = {}
+    models = {}
     total_failed = 0
     for kind in kinds:
         rows = [row[kind] for row in results if kind in row]
@@ -203,17 +185,17 @@ def error_summary(results: list[dict[ModelKind, FitResult]],
             raise NoConvergedFits(f"model {kind} has no converged fits")
         rp = np.array([fr.rel_err_phi for fr in good])
         rt = np.array([fr.rel_err_theta for fr in good])
-        hist_phi = np.histogram(rp, bins=hist_bins)
-        hist_theta = np.histogram(rt, bins=hist_bins)
-        per_model[kind] = ModelErrorStats(
-            avg_rel_err_phi=float(rp.mean()),
-            std_rel_err_phi=float(rp.std()),
-            avg_rel_err_theta=float(rt.mean()),
-            std_rel_err_theta=float(rt.std()),
-            n_converged=len(good),
-            n_failed=n_failed,
-            hist_phi=(hist_phi[1], hist_phi[0]),
-            hist_theta=(hist_theta[1], hist_theta[0]),
-        )
-    return ErrorSummary(per_model=per_model, n_windows=len(results),
-                        n_failed=total_failed)
+        counts_phi, edges_phi = np.histogram(rp, bins=hist_bins)
+        counts_theta, edges_theta = np.histogram(rt, bins=hist_bins)
+        models[kind.value] = {
+            "avg_rel_err_phi": float(rp.mean()),
+            "std_rel_err_phi": float(rp.std()),
+            "avg_rel_err_theta": float(rt.mean()),
+            "std_rel_err_theta": float(rt.std()),
+            "n_converged": len(good),
+            "n_failed": n_failed,
+            "hist_phi": {"edges": edges_phi.tolist(), "counts": counts_phi.tolist()},
+            "hist_theta": {"edges": edges_theta.tolist(),
+                           "counts": counts_theta.tolist()},
+        }
+    return {"models": models, "n_windows": len(results), "n_failed": total_failed}

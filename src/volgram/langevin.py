@@ -28,36 +28,25 @@ _MIN_MARKET_PHI = 0.05
 class LangevinSpec:
     """Drift/diffusion description of one trajectory.
 
-    Drift is either affine, ``D1(x) = drift_slope * (x - fixed_point)``
-    (a restoring force has negative slope), or tabulated on a grid and
-    linearly interpolated with clamped ends.  Diffusion is a constant
-    ``D2`` or a table.
+    Drift is affine, ``D1(x) = drift_slope * (x - fixed_point)`` (a
+    restoring force has negative slope), and diffusion is a constant
+    ``D2``.
     """
     dt: float
     n_steps: int
     initial: float
     seed: int
-    drift_slope: float | None = None
-    fixed_point: float | None = None
-    drift_table: tuple | None = None       # (grid, d1 values)
-    diffusion: float | None = None         # constant D2
-    diffusion_table: tuple | None = None   # (grid, d2 values)
+    drift_slope: float
+    fixed_point: float
+    diffusion: float
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise DomainError("dt must be positive")
         if self.n_steps < 1:
             raise DomainError("n_steps must be >= 1")
-        affine = self.drift_slope is not None and self.fixed_point is not None
-        if affine == (self.drift_table is not None):
-            raise DomainError("specify either affine drift or a drift table")
-        if (self.diffusion is not None) == (self.diffusion_table is not None):
-            raise DomainError("specify either constant diffusion or a table")
-        if self.diffusion is not None and self.diffusion < 0.0:
+        if self.diffusion < 0.0:
             raise DomainError("D2 must be non-negative")
-        if self.diffusion_table is not None and np.any(
-                np.asarray(self.diffusion_table[1], dtype=float) < 0.0):
-            raise DomainError("tabulated D2 must be non-negative everywhere")
 
 
 @dataclass(frozen=True)
@@ -70,37 +59,21 @@ class MarketSim:
 def simulate_langevin(spec: LangevinSpec) -> ParamSeries:
     """Euler-Maruyama trajectory of length n_steps.
 
-    Update rule: x += D1(x) dt + sqrt(2 D2(x) dt) xi, with xi standard
+    Update rule: x += D1(x) dt + sqrt(2 D2 dt) xi, with xi standard
     normal; the factor two implements the 2-delta Wiener convention.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_steps
     noise = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
     dt = spec.dt
-    if spec.drift_table is None:
-        slope, fp = float(spec.drift_slope), float(spec.fixed_point)
-        drift = lambda x: slope * (x - fp)
-    else:
-        drift = _interpolant(spec.drift_table)
-    if spec.diffusion_table is None:
-        const_scale = math.sqrt(2.0 * spec.diffusion * dt)
-        scale = lambda x: const_scale
-    else:
-        d2 = _interpolant(spec.diffusion_table)
-        scale = lambda x: math.sqrt(2.0 * d2(x) * dt)
+    slope, fp = float(spec.drift_slope), float(spec.fixed_point)
+    scale = math.sqrt(2.0 * spec.diffusion * dt)
     x = float(spec.initial)
     path = [x]
     for xi in noise.tolist():
-        x += drift(x) * dt + scale(x) * xi
+        x += slope * (x - fp) * dt + scale * xi
         path.append(x)
     return ParamSeries(times=np.arange(n) * dt, values=np.array(path), dt=dt)
-
-
-def _interpolant(table):
-    """Linear interpolation in a ``(grid, values)`` table, ends clamped."""
-    grid = np.asarray(table[0], dtype=float)
-    vals = np.asarray(table[1], dtype=float)
-    return lambda x: float(np.interp(x, grid, vals))
 
 
 def add_measurement_noise(series: ParamSeries, sigma_m: float,

@@ -28,7 +28,7 @@ FORMAT_VERSION = 1
 
 REQUIRED_FIELDS = ("timestamp", "symbol", "last_price", "volume")
 
-DEFAULT_SESSION_TZ = "America/New_York"
+SESSION_TZ = "America/New_York"
 SESSION_OPEN = time(9, 30)
 SESSION_CLOSE = time(16, 0)
 
@@ -141,7 +141,6 @@ def _in_session(start: float, window_len: float, tz: ZoneInfo) -> bool:
 
 def build_windows(records: list[QuoteRecord], window_len: float = 600.0,
                   session_filter: bool = True,
-                  session_tz: str = DEFAULT_SESSION_TZ,
                   min_companies: int = 50) -> WindowBuildResult:
     """Group records into fixed windows of normalized volume-prices.
 
@@ -154,7 +153,7 @@ def build_windows(records: list[QuoteRecord], window_len: float = 600.0,
     if window_len <= 0:
         raise ValueError("window_len must be positive")
     ordered = sorted(records, key=lambda r: r.timestamp)
-    tz = ZoneInfo(session_tz)
+    tz = ZoneInfo(SESSION_TZ)
 
     per_window: dict[float, dict[str, QuoteRecord]] = {}
     for rec in ordered:

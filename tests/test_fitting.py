@@ -248,28 +248,28 @@ def _mk_result(kind, rel_phi, rel_theta=0.01, converged=True):
 def test_error_summary_singleton():
     rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.02)}]
     summary = error_summary(rows)
-    stats = summary.per_model[INV_GAMMA]
-    assert stats.avg_rel_err_phi == pytest.approx(0.02)
-    assert stats.std_rel_err_phi == 0.0
-    assert summary.n_windows == 1
+    stats = summary["models"][INV_GAMMA.value]
+    assert stats["avg_rel_err_phi"] == pytest.approx(0.02)
+    assert stats["std_rel_err_phi"] == 0.0
+    assert summary["n_windows"] == 1
 
 
 def test_error_summary_population_std():
     rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.01)},
             {INV_GAMMA: _mk_result(INV_GAMMA, 0.03)}]
-    stats = error_summary(rows).per_model[INV_GAMMA]
-    assert stats.avg_rel_err_phi == pytest.approx(0.02)
-    assert stats.std_rel_err_phi == pytest.approx(0.01)
+    stats = error_summary(rows)["models"][INV_GAMMA.value]
+    assert stats["avg_rel_err_phi"] == pytest.approx(0.02)
+    assert stats["std_rel_err_phi"] == pytest.approx(0.01)
 
 
 def test_error_summary_excludes_failures_and_counts():
     rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.01)},
             {INV_GAMMA: _mk_result(INV_GAMMA, 0.5, converged=False)}]
     summary = error_summary(rows)
-    stats = summary.per_model[INV_GAMMA]
-    assert stats.n_converged == 1
-    assert stats.n_failed == 1
-    assert stats.avg_rel_err_phi == pytest.approx(0.01)
+    stats = summary["models"][INV_GAMMA.value]
+    assert stats["n_converged"] == 1
+    assert stats["n_failed"] == 1
+    assert stats["avg_rel_err_phi"] == pytest.approx(0.01)
 
 
 def test_error_summary_no_converged_fits():
@@ -281,7 +281,6 @@ def test_error_summary_no_converged_fits():
 def test_error_summary_histogram_shape():
     rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.01 * (i + 1))}
             for i in range(10)]
-    stats = error_summary(rows, hist_bins=16).per_model[INV_GAMMA]
-    edges, counts = stats.hist_phi
-    assert len(edges) == 17
-    assert counts.sum() == 10
+    hist = error_summary(rows, hist_bins=16)["models"][INV_GAMMA.value]["hist_phi"]
+    assert len(hist["edges"]) == 17
+    assert sum(hist["counts"]) == 10

@@ -21,12 +21,6 @@ def test_langevin_spec_validation():
     with pytest.raises(DomainError):
         LangevinSpec(dt=1.0, n_steps=10, initial=1.0, seed=0,
                      drift_slope=-0.1, fixed_point=1.0, diffusion=-1e-6)
-    with pytest.raises(DomainError):
-        LangevinSpec(dt=1.0, n_steps=10, initial=1.0, seed=0, diffusion=1e-6)
-    with pytest.raises(DomainError):
-        LangevinSpec(dt=1.0, n_steps=10, initial=1.0, seed=0,
-                     drift_slope=-0.1, fixed_point=1.0,
-                     drift_table=([0.0, 1.0], [0.1, -0.1]), diffusion=1e-6)
 
 
 def test_noise_free_relaxation_is_exact():
@@ -70,49 +64,21 @@ def test_langevin_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_tabulated_coefficients_interpolate_and_clamp():
-    # tabulated drift equal to the affine one reproduces the same path
-    grid = np.linspace(0.0, 2.0, 201)
-    spec_affine = LangevinSpec(dt=1.0, n_steps=2000, initial=0.93, seed=5,
-                               drift_slope=-0.05, fixed_point=0.93,
-                               diffusion=1e-6)
-    spec_table = LangevinSpec(dt=1.0, n_steps=2000, initial=0.93, seed=5,
-                              drift_table=(grid, -0.05 * (grid - 0.93)),
-                              diffusion=1e-6)
-    a = simulate_langevin(spec_affine)
-    b = simulate_langevin(spec_table)
-    assert np.allclose(a.values, b.values, atol=1e-12)
-
-
 def _reference_euler(spec):
     # one plain Euler-Maruyama step per loop turn, read off the update rule
     noise = np.random.default_rng(spec.seed).standard_normal(spec.n_steps - 1)
     x = spec.initial
     out = [x]
     for xi in noise:
-        if spec.drift_table is None:
-            d1 = spec.drift_slope * (x - spec.fixed_point)
-        else:
-            d1 = float(np.interp(x, *spec.drift_table))
-        if spec.diffusion_table is None:
-            d2 = spec.diffusion
-        else:
-            d2 = float(np.interp(x, *spec.diffusion_table))
-        x += d1 * spec.dt + math.sqrt(2.0 * d2 * spec.dt) * float(xi)
+        d1 = spec.drift_slope * (x - spec.fixed_point)
+        x += d1 * spec.dt + math.sqrt(2.0 * spec.diffusion * spec.dt) * float(xi)
         out.append(x)
     return np.array(out)
 
 
-@pytest.mark.parametrize("drift_table", [False, True])
-@pytest.mark.parametrize("diffusion_table", [False, True])
-def test_euler_matches_reference_loop(drift_table, diffusion_table):
-    grid = np.linspace(0.5, 1.5, 11)
-    drift = ({"drift_table": (grid, -0.07 * (grid - 0.95) + 0.01 * grid ** 2)}
-             if drift_table else {"drift_slope": -0.07, "fixed_point": 0.95})
-    diffusion = ({"diffusion_table": (grid, 1e-5 * (1.0 + grid))}
-                 if diffusion_table else {"diffusion": 2e-5})
+def test_euler_matches_reference_loop():
     spec = LangevinSpec(dt=0.5, n_steps=3000, initial=0.9, seed=17,
-                        **drift, **diffusion)
+                        drift_slope=-0.07, fixed_point=0.95, diffusion=2e-5)
     assert np.array_equal(simulate_langevin(spec).values, _reference_euler(spec))
 
 
