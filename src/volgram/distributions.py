@@ -155,7 +155,9 @@ def _log_normal_log_pdf(phi, theta, s):
 
 def _log_normal_derivs(phi, theta, s):
     z = (np.log(s) - phi) / theta
-    density = np.exp(-0.5 * z * z - _LOG_SQRT_TWO_PI)
+    # from a far start z * z overflows to inf, where the density is 0
+    with np.errstate(over="ignore"):
+        density = np.exp(-0.5 * z * z - _LOG_SQRT_TWO_PI)
     return -density / theta, -z * density
 
 
