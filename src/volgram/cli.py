@@ -369,10 +369,6 @@ def _ingest(input_path: Path, output_path: Path, window_len: float,
     return built.windows
 
 
-def _summary(rows: list[dict], hist_bins: int) -> dict:
-    return fitting.error_summary(_results_from_rows(rows), hist_bins=hist_bins)
-
-
 def _km(series: km_mod.ParamSeries, n_bins: int, tau_max: int, min_count: int,
         tau_range: tuple[int, int]) -> dict:
     moments = km_mod.conditional_moments(series, n_bins=n_bins, tau_max=tau_max,
@@ -406,8 +402,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_summary(args) -> int:
-    rows = _read_fit_rows(Path(args.input))
-    _write_json(Path(args.output), _summary(rows, args.hist_bins))
+    results = _results_from_rows(_read_fit_rows(Path(args.input)))
+    _write_json(Path(args.output), fitting.error_summary(results, args.hist_bins))
     return 0
 
 
@@ -470,7 +466,7 @@ def _cmd_pipeline(args) -> int:
                           args.min_companies, args.column_map)
 
     rows = run_fit(windows, outdir / "fits.jsonl", args.models, args.jobs)
-    summary = _summary(rows, args.hist_bins)
+    summary = fitting.error_summary(_results_from_rows(rows), args.hist_bins)
     _write_json(outdir / "summary.json", summary)
 
     series = series_from_fit_rows(rows, ModelKind(args.model), args.param)

@@ -175,12 +175,9 @@ def error_summary(results: list[dict[ModelKind, FitResult]],
         raise NoConvergedFits("no fit results to summarize")
     kinds = [k for k in ALL_KINDS if any(k in row for row in results)]
     models = {}
-    total_failed = 0
     for kind in kinds:
         rows = [row[kind] for row in results if kind in row]
         good = [fr for fr in rows if fr.converged]
-        n_failed = len(rows) - len(good)
-        total_failed += n_failed
         if not good:
             raise NoConvergedFits(f"model {kind} has no converged fits")
         rp = np.array([fr.rel_err_phi for fr in good])
@@ -193,9 +190,9 @@ def error_summary(results: list[dict[ModelKind, FitResult]],
             "avg_rel_err_theta": float(rt.mean()),
             "std_rel_err_theta": float(rt.std()),
             "n_converged": len(good),
-            "n_failed": n_failed,
+            "n_failed": len(rows) - len(good),
             "hist_phi": {"edges": edges_phi.tolist(), "counts": counts_phi.tolist()},
-            "hist_theta": {"edges": edges_theta.tolist(),
-                           "counts": counts_theta.tolist()},
+            "hist_theta": {"edges": edges_theta.tolist(), "counts": counts_theta.tolist()},
         }
-    return {"models": models, "n_windows": len(results), "n_failed": total_failed}
+    return {"models": models, "n_windows": len(results),
+            "n_failed": sum(m["n_failed"] for m in models.values())}
