@@ -3,8 +3,9 @@
 Everything here is plain numpy so that a whole empirical-CDF grid can be
 evaluated in one call.  The incomplete gamma uses the standard split:
 series expansion for ``x < a + 1``, continued fraction (modified Lentz)
-otherwise, both iterated to 1e-15 with a cap of 500 terms.  The error
-function is the standard library's ``math.erf``, applied elementwise.
+otherwise, both iterated to 1e-15 with a cap of 500 terms.  Log-gamma
+and the error function are the standard library's ``math.lgamma`` and
+``math.erf``, applied elementwise.
 """
 
 from __future__ import annotations
@@ -19,24 +20,19 @@ _MAX_ITER = 500
 _TOL = 1e-15
 _TINY = 1e-300
 
-# Lanczos coefficients, g = 7, 9 terms.  Relative error of ln(gamma) is a
-# few ulp over the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297
-
 _MATH_ERF = np.frompyfunc(math.erf, 1, 1)
+
+
+def _lgamma(x: float) -> float:
+    # past x ~ 2.6e305 ln(gamma) exceeds the float range: math.lgamma
+    # raises and sets the overflow flag, and the answer is inf
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
+_MATH_LGAMMA = np.frompyfunc(_lgamma, 1, 1)
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -44,29 +40,14 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _ln_gamma_core(x: np.ndarray) -> np.ndarray:
-    # valid for x >= 0.5; callers shift smaller arguments
-    z = x - 1.0
-    acc = np.full_like(z, _LANCZOS[0])
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc = acc + c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(acc)
-
-
 def ln_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Arguments below 0.5 are lifted with ``ln G(x) = ln G(x+1) - ln x`` to
-    keep the Lanczos sum well conditioned.
-    """
+    """Natural log of the gamma function for finite x > 0,
+    ``math.lgamma`` over each element."""
     arr, scalar = _as_array(x)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    small = arr < 0.5
-    shifted = np.where(small, arr + 1.0, arr)
-    out = _ln_gamma_core(shifted)
-    out = np.where(small, out - np.log(arr), out)
+    with np.errstate(over="ignore"):
+        out = np.asarray(_MATH_LGAMMA(arr), dtype=float)
     return float(out) if scalar else out
 
 

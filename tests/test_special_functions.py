@@ -21,6 +21,9 @@ def test_ln_gamma_known_values():
     assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
     assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
     assert ln_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-13)
+    # past x ~ 2.6e305 ln(gamma) exceeds the float range
+    assert ln_gamma(1e306) == math.inf
+    assert ln_gamma(np.array([1e306]))[0] == math.inf
 
 
 def test_ln_gamma_vectorized():
