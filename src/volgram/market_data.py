@@ -16,7 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timezone
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -33,8 +35,7 @@ SESSION_OPEN = time(9, 30)
 SESSION_CLOSE = time(16, 0)
 
 
-@dataclass(frozen=True)
-class QuoteRecord:
+class QuoteRecord(NamedTuple):
     timestamp: float          # UTC seconds since epoch
     symbol: str
     last_price: float         # > 0
@@ -68,10 +69,11 @@ class WindowBuildResult:
 
 def _parse_timestamp(raw: str) -> float:
     raw = raw.strip()
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    if ":" not in raw:              # no float literal has a colon
+        try:
+            return float(raw)
+        except ValueError:
+            pass
     text = raw.replace("Z", "+00:00")
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
@@ -85,7 +87,8 @@ def parse_quotes(source, column_map: dict[str, str] | None = None) -> ParseResul
     ``source`` may be a filesystem path (str or Path), a byte string of
     CSV content, or an open text stream.  Malformed rows (bad timestamp,
     non-positive price, negative volume, missing cells) are counted, not
-    fatal, unless they exceed half of the data rows.
+    fatal, unless they exceed half of the data rows.  Blank lines are
+    skipped and not counted.
     """
     close_after = False
     if isinstance(source, (str, Path)):
@@ -96,25 +99,30 @@ def parse_quotes(source, column_map: dict[str, str] | None = None) -> ParseResul
     else:
         fh = source
     try:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         mapping = {k: k for k in REQUIRED_FIELDS}
         if column_map:
             mapping.update(column_map)
         missing = [mapping[k] for k in REQUIRED_FIELDS if mapping[k] not in header]
         if missing:
             raise MissingColumn(f"missing required columns: {missing}")
+        # a repeated header name reads its last column
+        column = {name: i for i, name in enumerate(header)}
+        i_ts, i_sym, i_price, i_vol = (column[mapping[k]] for k in REQUIRED_FIELDS)
         records: list[QuoteRecord] = []
         n_malformed = 0
         n_rows = 0
         for row in reader:
+            if not row:             # a blank line is not a data row
+                continue
             n_rows += 1
             try:
-                ts = _parse_timestamp(row[mapping["timestamp"]])
-                symbol = (row[mapping["symbol"]] or "").strip()
-                price = float(row[mapping["last_price"]])
-                volume = float(row[mapping["volume"]])
-            except (ValueError, TypeError, KeyError):
+                ts = _parse_timestamp(row[i_ts])
+                symbol = row[i_sym].strip()
+                price = float(row[i_price])
+                volume = float(row[i_vol])
+            except (ValueError, IndexError):
                 n_malformed += 1
                 continue
             if not symbol or not math.isfinite(ts) or not math.isfinite(price) \
@@ -152,7 +160,7 @@ def build_windows(records: list[QuoteRecord], window_len: float = 600.0,
         raise EmptyInput("no quote records")
     if window_len <= 0:
         raise ValueError("window_len must be positive")
-    ordered = sorted(records, key=lambda r: r.timestamp)
+    ordered = sorted(records, key=itemgetter(0))
     tz = ZoneInfo(SESSION_TZ)
 
     per_window: dict[float, dict[str, QuoteRecord]] = {}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 from datetime import datetime
 from pathlib import Path
@@ -172,6 +173,20 @@ def test_ingest_fit_summary_from_csv(tmp_path):
     doc = json.loads(summary.read_text())
     assert doc["format_version"] == 1
     assert doc["n_windows"] == 4
+
+
+def test_ingest_counts_short_row_as_malformed(tmp_path, caplog):
+    csv_path = tmp_path / "quotes.csv"
+    csv_path.write_text("symbol,last_price,volume,timestamp\n"
+                        "IBM,100.0,5000,2011-03-16T14:40:00Z\n"
+                        "GE,17.5,120\n"
+                        "AA,3.0,7,2011-03-16T14:41:00Z\n")
+    caplog.set_level(logging.INFO, logger="volgram")
+    rc = main(["ingest", "--input", str(csv_path),
+               "--output", str(tmp_path / "windows.jsonl"),
+               "--min-companies", "2"])
+    assert rc == 0
+    assert "ingest: 2 records, 1 malformed rows" in caplog.messages
 
 
 def test_fit_model_filter(tmp_path):

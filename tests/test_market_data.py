@@ -1,8 +1,12 @@
 """Quote parsing, windowing, session filtering, and the JSONL format."""
 
+import ast
+import csv
 import io
 import json
-from datetime import datetime
+import math
+from datetime import datetime, timezone
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -83,6 +87,173 @@ def test_parse_column_mapping_ignores_extra_fields():
 def test_parse_accepts_stream():
     result = parse_quotes(io.StringIO(HEADER + "1300000000,GE,1.0,1\n"))
     assert len(result.records) == 1
+
+
+def test_parse_short_row_is_malformed():
+    # the timestamp is the last column, so the short row lacks it
+    csv_text = ("symbol,last_price,volume,timestamp\n"
+                "IBM,100.0,5000,2011-03-16T14:40:00Z\n"
+                "GE,17.5,120\n"
+                "AA,3.0,7,1300000000\n")
+    result = parse_quotes(csv_text.encode())
+    assert result.n_malformed == 1
+    assert [r.symbol for r in result.records] == ["IBM", "AA"]
+
+
+# -- the parse loop against the csv.DictReader loop it replaced ------------
+
+def _dictreader_timestamp(raw):
+    raw = raw.strip()
+    try:
+        return float(raw)
+    except ValueError:
+        pass
+    text = raw.replace("Z", "+00:00")
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def _dictreader_parse(text, column_map=None):
+    """The csv.DictReader loop of parse_quotes, except that a short row,
+    which handed None to the timestamp parser, counts as malformed."""
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames or []
+    mapping = {k: k for k in ("timestamp", "symbol", "last_price", "volume")}
+    if column_map:
+        mapping.update(column_map)
+    missing = [v for v in mapping.values() if v not in header]
+    if missing:
+        raise MissingColumn(f"missing required columns: {missing}")
+    records = []
+    n_malformed = 0
+    n_rows = 0
+    for row in reader:
+        n_rows += 1
+        try:
+            ts = _dictreader_timestamp(row[mapping["timestamp"]])
+            symbol = (row[mapping["symbol"]] or "").strip()
+            price = float(row[mapping["last_price"]])
+            volume = float(row[mapping["volume"]])
+        except (ValueError, TypeError, KeyError, AttributeError):
+            n_malformed += 1
+            continue
+        if not symbol or not math.isfinite(ts) or not math.isfinite(price) \
+                or not math.isfinite(volume) or price <= 0.0 or volume < 0.0:
+            n_malformed += 1
+            continue
+        records.append((ts, symbol, price, volume))
+    if n_rows > 0 and n_malformed > 0.5 * n_rows:
+        raise TooManyMalformed(f"{n_malformed} of {n_rows} rows malformed")
+    return records, n_malformed
+
+
+def _outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except Exception as err:  # the exception type is part of the outcome
+        return type(err)
+    if isinstance(result, tuple):
+        return result
+    return result.records, result.n_malformed
+
+
+def _benchmark_malformed_rows():
+    """The malformed row templates of the benchmark's seeded quotes day."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "quotes.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "_MALFORMED":
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no _MALFORMED in {path}")
+
+
+MALFORMED_ROWS = _benchmark_malformed_rows()
+GOOD = {
+    "timestamp": ["1300000000", " 1300000001.5 ", "2011-03-16",
+                  "2011-03-16T14:40:00", "2011-03-16T14:40:00Z",
+                  "2011-03-16T14:40:00.250Z", "2011-03-16T10:40:00-04:00",
+                  "2011-03-16T15:40:00+01:00"],
+    "symbol": ["IBM", " GE ", "S001"],
+    "last_price": ["100.0", "17.5", "1e-3"],
+    "volume": ["5000", "12.5", "0", "-0"],
+}
+BAD = {
+    "timestamp": ["1e400", "nan", "inf", "", "n/a", "2013-02-30T10:00:00Z"],
+    "symbol": ["", " "],
+    "last_price": ["0", "-4.10", "nan", "-inf", "", "n/a", '"1,5"'],
+    "volume": ["-7", "nan", "inf", ""],
+}
+FIELDS = tuple(GOOD)
+RENAMED = {"timestamp": "time", "symbol": "ticker", "last_price": "price",
+           "volume": "vol"}
+
+
+@st.composite
+def quote_csvs(draw):
+    """A CSV text and its column map, built from the cell pools above."""
+    renamed = draw(st.booleans())
+    names = [RENAMED[f] if renamed else f for f in FIELDS]
+    header = draw(st.permutations(names + ["day_high"]))
+    if draw(st.integers(0, 9)) == 0:           # a required column is absent
+        header.remove(draw(st.sampled_from(names)))
+    if draw(st.booleans()):                    # a repeated header name
+        header.insert(draw(st.integers(0, len(header))),
+                      draw(st.sampled_from(header)))
+    role = {name: field for field, name in zip(FIELDS, names)}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["good", "good", "good", "good", "bad",
+                                     "malformed", "blank", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = {}
+        if kind == "bad":
+            field = draw(st.sampled_from(FIELDS))
+            cells[field] = draw(st.sampled_from(BAD[field]))
+        elif kind == "malformed":
+            template = draw(st.sampled_from(MALFORMED_ROWS))
+            cells = dict(zip(FIELDS, template.format(
+                ts=draw(st.sampled_from(GOOD["timestamp"])),
+                sym=draw(st.sampled_from(GOOD["symbol"]))).split(",")))
+        row = []
+        for name in header:
+            field = role.get(name)             # None for the extra column
+            if field in cells:
+                row.append(cells[field])
+            else:
+                row.append(draw(st.sampled_from(GOOD.get(field, BAD["volume"]))))
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row += draw(st.lists(st.sampled_from(GOOD["volume"]),
+                                 min_size=1, max_size=2))
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, (RENAMED if renamed else None)
+
+
+@given(quote_csvs())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_dictreader_loop(case):
+    text, column_map = case
+    assert (_outcome(parse_quotes, text.encode(), column_map)
+            == _outcome(_dictreader_parse, text, column_map))
+
+
+@given(quote_csvs())
+@settings(max_examples=40, deadline=None)
+def test_parse_sources_agree(tmp_path_factory, case):
+    text, column_map = case
+    path = tmp_path_factory.mktemp("quotes") / "quotes.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    from_bytes = _outcome(parse_quotes, text.encode(), column_map)
+    assert _outcome(parse_quotes, path, column_map) == from_bytes
+    assert _outcome(parse_quotes, str(path), column_map) == from_bytes
+    assert _outcome(parse_quotes, io.StringIO(text, newline=""),
+                    column_map) == from_bytes
 
 
 def _records_one_window(values, start=None):
