@@ -275,11 +275,11 @@ def _binned_markov_distance(idx: np.ndarray, valid: np.ndarray, n_bins: int,
     h = idx[:-2 * lag]
     i = idx[lag:-lag]
     j = idx[2 * lag:]
-    h, i, j = h[valid], i[valid], j[valid]
+    if not valid.all():
+        h, i, j = h[valid], i[valid], j[valid]
     c3 = np.bincount((h * n_bins + i) * n_bins + j,
                      minlength=n_bins ** 3).reshape(n_bins, n_bins, n_bins)
-    c2 = np.bincount(i * n_bins + j,
-                     minlength=n_bins ** 2).reshape(n_bins, n_bins)
+    c2 = c3.sum(axis=0)       # the (x2, x3) counts of the same events
     n3 = c3.sum(axis=2)
     n2 = c2.sum(axis=1)
     keep = n3 >= min_cell

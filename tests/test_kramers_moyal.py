@@ -7,7 +7,8 @@ import pytest
 from volgram.errors import (AllBinsUnderpopulated, InsufficientTauPoints,
                             MeanBinUnpopulated, SeriesTooShort)
 from volgram.kramers_moyal import (ConditionalMoments, ParamSeries,
-                                   conditional_moments,
+                                   _bin_index, _binned_markov_distance,
+                                   _gap_prefix, conditional_moments,
                                    estimate_measurement_noise, km_estimate,
                                    markov_test)
 from volgram.langevin import LangevinSpec, add_measurement_noise, simulate_langevin
@@ -220,3 +221,36 @@ def test_markov_deterministic_given_seed():
     a = markov_test(series, n_bins=10, seed=18)
     b = markov_test(series, n_bins=10, seed=18)
     assert a == b
+
+
+def _two_bincount_distance(idx, valid, n_bins, lag, min_cell):
+    """The Markov distance with the pair counts from their own bincount."""
+    h, i, j = idx[:-2 * lag][valid], idx[lag:-lag][valid], idx[2 * lag:][valid]
+    c3 = np.bincount((h * n_bins + i) * n_bins + j,
+                     minlength=n_bins ** 3).reshape(n_bins, n_bins, n_bins)
+    c2 = np.bincount(i * n_bins + j,
+                     minlength=n_bins ** 2).reshape(n_bins, n_bins)
+    n3 = c3.sum(axis=2)
+    n2 = c2.sum(axis=1)
+    keep = n3 >= min_cell
+    p3 = c3 / np.maximum(n3, 1)[:, :, None]
+    p2 = c2 / np.maximum(n2, 1)[:, None]
+    diff = np.abs(p3 - p2[None, :, :]).mean(axis=2)
+    w = n3 * keep
+    return float((w * diff).sum() / w.sum()), int(keep.sum())
+
+
+@pytest.mark.parametrize("gaps", [(), (5, 999, 4_000, 12_345)])
+@pytest.mark.parametrize("n_bins", [20, 40])
+def test_markov_distance_equals_two_bincount_form(gaps, n_bins):
+    series = _series(_ou(20_000, seed=21).values, gaps=gaps)
+    _, idx = _bin_index(series.values, n_bins)
+    prefix = _gap_prefix(series)
+    valid = (prefix[2:] - prefix[:-2]) == 0
+    assert valid.all() == (not gaps)
+    rng = np.random.default_rng(22)
+    surrogate = idx.copy()
+    for _ in range(5):
+        assert (_binned_markov_distance(surrogate, valid, n_bins, 1, 30)
+                == _two_bincount_distance(surrogate, valid, n_bins, 1, 30))
+        rng.shuffle(surrogate)
