@@ -366,6 +366,7 @@ def _ingest(input_path: Path, output_path: Path, window_len: float,
     log.info("ingest: wrote %d windows (%d session-filtered, %d too small)",
              len(built.windows), built.n_session_filtered,
              built.n_below_min_companies)
+    log.info("ingest: dropped %d zero-volume quotes", built.n_zero_volume_dropped)
     return built.windows
 
 

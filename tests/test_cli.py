@@ -189,6 +189,24 @@ def test_ingest_counts_short_row_as_malformed(tmp_path, caplog):
     assert "ingest: 2 records, 1 malformed rows" in caplog.messages
 
 
+def test_ingest_logs_zero_volume_drops(tmp_path, caplog):
+    csv_path = tmp_path / "quotes.csv"
+    csv_path.write_text("timestamp,symbol,last_price,volume\n"
+                        "2011-03-16T14:40:00Z,IBM,100.0,5000\n"
+                        "2011-03-16T14:41:00Z,GE,17.5,0\n"
+                        "2011-03-16T14:42:00Z,AA,3.0,7\n"
+                        "2011-03-16T14:43:00Z,XOM,80.0,0\n")
+    caplog.set_level(logging.INFO, logger="volgram")
+    rc = main(["ingest", "--input", str(csv_path),
+               "--output", str(tmp_path / "windows.jsonl"),
+               "--min-companies", "2"])
+    assert rc == 0
+    assert caplog.messages == [
+        "ingest: 4 records, 0 malformed rows",
+        "ingest: wrote 1 windows (0 session-filtered, 0 too small)",
+        "ingest: dropped 2 zero-volume quotes"]
+
+
 def test_fit_model_filter(tmp_path):
     out, _ = _simulate_market_files(tmp_path, windows=12, companies=60)
     fits = tmp_path / "fits.jsonl"
