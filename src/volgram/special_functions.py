@@ -1,9 +1,14 @@
 """Special functions backing the model CDFs.
 
 Everything here is plain numpy so that a whole empirical-CDF grid can be
-evaluated in one call.  The incomplete gamma uses the standard split:
-series expansion for ``x < a + 1``, continued fraction (modified Lentz)
-otherwise, both iterated to 1e-15 with a cap of 500 terms.  Log-gamma
+evaluated in one call.  The incomplete gamma sums the series for P when
+``x < max(a + 1, 10)`` and the continued fraction (modified Lentz) for Q
+otherwise, both iterated to 1e-15 with a cap of 500 terms, and takes
+the other function as one minus it.  The split at a + 1 alone would
+minimise the number of terms; below x = 10 the series still needs fewer
+numpy operations, which is what a call costs.  Accuracy is absolute,
+about 1e-15: a small Q with a + 1 <= x < 10 is 1 - P and carries P's
+absolute error, not a relative one.  Log-gamma
 and the error function are the standard library's ``math.lgamma`` and
 ``math.erf``, applied elementwise.
 """
@@ -19,6 +24,8 @@ from .errors import DomainError, NonConvergence
 _MAX_ITER = 500
 _TOL = 1e-15
 _TINY = 1e-300
+# the series serves every x below max(a + 1, _SERIES_X)
+_SERIES_X = 10.0
 
 _MATH_ERF = np.frompyfunc(math.erf, 1, 1)
 
@@ -58,7 +65,7 @@ def _take(v, index):
 
 
 def _inc_gamma_series(a, x: np.ndarray):
-    """Ascending series for P(a, x), x < a + 1, 8 terms per step.
+    """Ascending series for P(a, x), x < max(a + 1, 10), 8 terms per step.
 
     ``a`` is one float shared by every element of ``x``, or an array
     like ``x``.  Yields the converged mask and the partial sums; sending
@@ -81,9 +88,12 @@ def _inc_gamma_series(a, x: np.ndarray):
 
 
 def _inc_gamma_cf(a, x: np.ndarray):
-    """Continued fraction (modified Lentz) for Q(a, x), x >= a + 1.
+    """Continued fraction (modified Lentz) for Q(a, x), x >= max(a + 1, 10).
 
-    Same protocol and ``a`` as ``_inc_gamma_series``.  Extra Lentz
+    Below x = 10 the series serves even for x >= a + 1, because it needs
+    fewer numpy operations there; Q is then 1 - P, accurate to about
+    1e-15 absolute but not relative.  Same protocol and ``a`` as
+    ``_inc_gamma_series``.  Extra Lentz
     iterations past convergence are stable (delta stays 1), so testing
     only at the end of each step is safe.  Lentz's guards against a zero
     d or c are left out, because for x >= a + 1 neither comes near zero:
@@ -144,8 +154,8 @@ def _inc_gamma(name: str, a, x, upper: bool):
     """Validate and broadcast (a, x), then evaluate P, or Q if ``upper``.
 
     Each element is computed on whichever representation is direct,
-    series P below x = a + 1 and continued-fraction Q above, and the
-    other function is one minus it.  A shape given as one element, as
+    series P below x = max(a + 1, 10) and continued-fraction Q above, and
+    the other function is one minus it.  A shape given as one element, as
     in a single CDF row, reaches the recurrences as a float.
     """
     a_arr, a_scalar = _as_array(a)
@@ -166,7 +176,7 @@ def _inc_gamma(name: str, a, x, upper: bool):
         lng = np.ascontiguousarray(np.broadcast_to(ln_gamma(a_arr), shape)).ravel()
     # P(a, 0) = 0 exactly
     out = np.full(x_flat.shape, 1.0 if upper else 0.0)
-    below = x_flat < a_w + 1.0
+    below = x_flat < np.maximum(a_w + 1.0, _SERIES_X)
     ser = below & (x_flat > 0.0)
     if np.any(ser):
         p = _sum_to_convergence(_inc_gamma_series, _take(a_w, ser), x_flat[ser],
@@ -191,7 +201,9 @@ def reg_inc_gamma_upper(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 
     Each element is computed on whichever representation is direct, so
-    the pair satisfies P + Q = 1 to machine precision.
+    the pair satisfies P + Q = 1 to machine precision.  The error is
+    absolute (see the module docstring): below x = 10 a small Q is
+    1 - P.
     """
     return _inc_gamma("reg_inc_gamma_upper", a, x, upper=True)
 
