@@ -96,6 +96,27 @@ def _parse_tau_range(spec: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad tau range {spec!r}, expected LO:HI")
 
 
+def _ranged(kind, low, high=math.inf, low_open=False):
+    """argparse type: a finite ``kind`` number in [low, high], or in
+    (low, high] if ``low_open``."""
+    rule = (f"in [{low}, {high}]" if high < math.inf
+            else f"{'>' if low_open else '>='} {low}")
+    rule = f"{'an integer' if kind is int else 'a finite number'} {rule}"
+
+    def parse(text: str):
+        value = kind(text)
+        above = value > low if low_open else value >= low
+        if not (above and value <= high and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    # argparse names the type in its "invalid ... value" message
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_COUNT = _ranged(int, 1)
+
+
 def _parse_column_map(spec: str) -> dict[str, str]:
     out = {}
     for pair in spec.split(","):
@@ -486,7 +507,7 @@ def _cmd_pipeline(args) -> int:
 # -- argument wiring -------------------------------------------------------
 
 def _add_ingest_options(p):
-    p.add_argument("--window-len", type=float, default=600.0)
+    p.add_argument("--window-len", type=_ranged(float, 0.0, low_open=True), default=600.0)
     p.add_argument("--session-filter", action=argparse.BooleanOptionalAction,
                    default=True)
     p.add_argument("--min-companies", type=int, default=50)
@@ -497,7 +518,7 @@ def _add_ingest_options(p):
 def _add_fit_options(p):
     p.add_argument("--models", type=_parse_models, default=ALL_KINDS,
                    help="comma list: gamma,inverse-gamma,log-normal,weibull")
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_ranged(int, 0), default=0,
                    help="fit worker processes (default 0: one per core)")
 
 
@@ -509,7 +530,7 @@ def _add_model_options(p):
 
 
 def _add_km_options(p):
-    p.add_argument("--n-bins", type=int, default=50)
+    p.add_argument("--n-bins", type=_COUNT, default=50)
     p.add_argument("--tau-max", type=int, default=10)
     p.add_argument("--tau-fit", type=_parse_tau_range, default="1:5",
                    help="lag fit range LO:HI")
@@ -517,11 +538,11 @@ def _add_km_options(p):
 
 
 def _add_markov_options(p, bins_flag="--n-bins"):
-    p.add_argument(bins_flag, type=int, default=20)
-    p.add_argument("--lag", type=int, default=1)
+    p.add_argument(bins_flag, type=_COUNT, default=20)
+    p.add_argument("--lag", type=_COUNT, default=1)
     p.add_argument("--min-cell-count", type=int, default=30)
-    p.add_argument("--surrogates", type=int, default=100)
-    p.add_argument("--percentile", type=float, default=95.0)
+    p.add_argument("--surrogates", type=_COUNT, default=100)
+    p.add_argument("--percentile", type=_ranged(float, 0.0, 100.0), default=95.0)
 
 
 def _add_series_source(p):
@@ -552,7 +573,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("summary", help="error statistics across windows")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--hist-bins", type=int, default=64)
+    p.add_argument("--hist-bins", type=_COUNT, default=64)
     p.set_defaults(func=_cmd_summary)
 
     p = sub.add_parser("km", help="drift/diffusion from a parameter series")
@@ -574,13 +595,13 @@ def build_parser() -> _Parser:
 
     g = gen.add_parser("langevin")
     g.add_argument("--output", required=True)
-    g.add_argument("--steps", type=int, default=10**5)
+    g.add_argument("--steps", type=_COUNT, default=10**5)
     g.add_argument("--dt", type=float, default=1.0)
     g.add_argument("--initial", type=float, default=0.93)
     g.add_argument("--drift-slope", type=float, default=-0.05)
     g.add_argument("--fixed-point", type=float, default=0.93)
     g.add_argument("--diffusion", type=float, default=1e-6)
-    g.add_argument("--noise-sigma", type=float, default=0.0)
+    g.add_argument("--noise-sigma", type=_ranged(float, 0.0), default=0.0)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=_cmd_simulate)
 
@@ -588,8 +609,8 @@ def build_parser() -> _Parser:
     g.add_argument("--output", required=True)
     g.add_argument("--truth", default=None,
                    help="also write the true parameter series JSON here")
-    g.add_argument("--companies", type=int, default=2000)
-    g.add_argument("--windows", type=int, default=1000)
+    g.add_argument("--companies", type=_COUNT, default=2000)
+    g.add_argument("--windows", type=_COUNT, default=1000)
     g.add_argument("--theta", type=float, default=1.0)
     g.add_argument("--initial", type=float, default=0.93)
     g.add_argument("--drift-slope", type=float, default=-0.05)
@@ -604,7 +625,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outdir", required=True)
     _add_ingest_options(p)
     _add_fit_options(p)
-    p.add_argument("--hist-bins", type=int, default=64)
+    p.add_argument("--hist-bins", type=_COUNT, default=64)
     _add_model_options(p)
     _add_km_options(p)
     _add_markov_options(p, bins_flag="--markov-bins")

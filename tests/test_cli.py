@@ -9,6 +9,7 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
+import pytest
 
 from volgram.cli import _pool_size, emit_plotdata, main
 from volgram.market_data import SnapshotWindow, write_windows_jsonl
@@ -428,6 +429,42 @@ def test_fit_pool_is_capped(monkeypatch):
     assert _pool_size(0, 10**6) == 4        # 0 asks for every CPU
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(64, 10**6) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["markov", "--n-bins", "0"],
+    ["markov", "--n-bins", "-2"],
+    ["markov", "--surrogates", "0"],
+    ["markov", "--surrogates", "-5"],
+    ["markov", "--lag", "0"],
+    ["markov", "--percentile", "150"],
+    ["km", "--n-bins", "0"],
+    ["km", "--n-bins", "-1"],
+    ["summary", "--hist-bins", "0"],
+    ["ingest", "--window-len", "0"],
+    ["simulate", "market", "--companies", "0"],
+    ["simulate", "market", "--windows", "0"],
+    ["simulate", "langevin", "--steps", "0"],
+    ["simulate", "langevin", "--noise-sigma", "-1"],
+    ["fit", "--jobs", "-3"],
+    ["pipeline", "--markov-bins", "0"],
+], ids=" ".join)
+def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv):
+    output = tmp_path / "out.json"
+    files = {
+        "markov": ["--series", str(tmp_path / "series.json"), "--output", str(output)],
+        "km": ["--series", str(tmp_path / "series.json"), "--output", str(output)],
+        "summary": ["--input", str(tmp_path / "fits.jsonl"), "--output", str(output)],
+        "ingest": ["--input", str(tmp_path / "quotes.csv"), "--output", str(output)],
+        "simulate": ["--output", str(output)],
+        "fit": ["--input", str(tmp_path / "windows.jsonl"), "--output", str(output)],
+        "pipeline": ["--input", str(tmp_path / "windows.jsonl"), "--outdir", str(output)],
+    }
+    assert main(argv + files[argv[0]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {argv[-2]}: must be ")
+    assert "Traceback" not in err
+    assert not output.exists()
 
 
 def test_fit_parallel_matches_serial(tmp_path):
