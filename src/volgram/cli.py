@@ -145,8 +145,10 @@ def _fit_one(args) -> dict:
 
 
 def _pool_size(jobs: int, n_windows: int) -> int:
-    """Fit workers: no more than jobs (0: any number), than CPUs, or than chunks."""
-    cpus = os.cpu_count() or 1
+    """Fit workers: no more than jobs (0: any number), than the CPUs this
+    process may run on, or than chunks."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     return min(jobs or cpus, cpus, math.ceil(n_windows / _FIT_CHUNK))
 
 

@@ -420,13 +420,20 @@ def test_cdf_fit_plotdata_skips_failed_fits(tmp_path):
 
 
 def test_fit_pool_is_capped(monkeypatch):
-    # computed only: no pool is started
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # computed only: no pool is started.  The CPUs are those the process
+    # may run on, not every CPU of the machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     assert _pool_size(64, 10**6) == 4       # by the CPUs
     assert _pool_size(64, 17) == 2          # by the 16-window chunks
     assert _pool_size(64, 16) == 1
     assert _pool_size(3, 10**6) == 3        # by the request
     assert _pool_size(0, 10**6) == 4        # 0 asks for every CPU
+    # without an affinity call the machine's count is the cap
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_size(64, 10**6) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(64, 10**6) == 1
 
