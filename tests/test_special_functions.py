@@ -118,6 +118,131 @@ def test_inc_gamma_domain():
         reg_inc_gamma_upper(-1.0, 1.0)
 
 
+# -- differential test against the previous kernel -------------------------
+#
+# The kernel before the series took over a + 1 <= x < 10: series P below
+# x = a + 1, continued fraction Q (modified Lentz with its zero guards)
+# above, 8 terms per block, each element taken at the first block that
+# converges it.  Outside [a + 1, 10) the current kernel does the same
+# arithmetic and must match it bit for bit.
+
+def _oracle_series(a, x):
+    ap = a.copy()
+    term = 1.0 / ap
+    total = term.copy()
+    while True:
+        for _ in range(8):
+            ap += 1.0
+            term *= x / ap
+            total += term
+        yield np.abs(term) < np.abs(total) * 1e-15, total
+
+
+def _oracle_cf(a, x):
+    b = x + 1.0 - a
+    c = np.full_like(b, 1.0 / 1e-300)
+    d = 1.0 / b
+    h = d.copy()
+    i = 0
+    while True:
+        for _ in range(8):
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            np.copyto(d, 1e-300, where=np.abs(d) < 1e-300)
+            c = b + an / c
+            np.copyto(c, 1e-300, where=np.abs(c) < 1e-300)
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        yield np.abs(delta - 1.0) < 1e-15, h
+
+
+def _oracle_sum(terms, a, x):
+    lng = np.array([math.lgamma(v) for v in a])
+    out = np.full(x.shape, np.nan)
+    for _, (done, acc) in zip(range(500 // 8), terms(a, x)):
+        new = done & np.isnan(out)
+        out[new] = acc[new] * np.exp(-x[new] + a[new] * np.log(x[new]) - lng[new])
+        if not np.isnan(out).any():
+            return out
+    raise AssertionError("oracle hit the iteration cap")
+
+
+def _oracle_p_q(a, x):
+    """P and Q of the previous kernel, elementwise over 1-d a and x."""
+    p, q = np.zeros(x.shape), np.ones(x.shape)
+    ser = (x > 0.0) & (x < a + 1.0)
+    cf = x >= a + 1.0
+    p[ser] = _oracle_sum(_oracle_series, a[ser], x[ser])
+    q[ser] = 1.0 - p[ser]
+    q[cf] = _oracle_sum(_oracle_cf, a[cf], x[cf])
+    p[cf] = 1.0 - q[cf]
+    return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
+
+
+# ~80 ulp: up to 60 series terms, plus the rounding of the prefactor
+# exponent |x| + |a ln x| + |ln gamma(a)| on [a + 1, 10)
+_MOVED_TOL = 2e-14
+
+
+def _check_against_oracle(a, x, p, q):
+    p_old, q_old = _oracle_p_q(a, x)
+    moved = (x >= a + 1.0) & (x < 10.0)
+    assert np.array_equal(p[~moved], p_old[~moved])
+    assert np.array_equal(q[~moved], q_old[~moved])
+    assert np.all(np.abs(p[moved] - p_old[moved]) <= _MOVED_TOL)
+    assert np.all(np.abs(q[moved] - q_old[moved]) <= _MOVED_TOL)
+
+
+_LOG_SHAPE = st.floats(min_value=math.log(1e-3), max_value=math.log(60.0))
+_POINT = st.floats(min_value=0.0, max_value=40.0)
+
+
+@given(_LOG_SHAPE, st.lists(_POINT, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_inc_gamma_one_shape_row_against_previous_kernel(log_a, points):
+    a = math.exp(log_a)
+    x = np.array(points + [a + 1.0, 10.0, np.nextafter(10.0, 0.0)])
+    p = reg_inc_gamma_lower(np.array([[a]]), x.reshape(1, -1))[0]
+    q = reg_inc_gamma_upper(np.array([[a]]), x.reshape(1, -1))[0]
+    _check_against_oracle(np.full(x.shape, a), x, p, q)
+    # the one-float-shape path and the per-element path agree bit for bit
+    a_vec = np.full(x.shape, a)
+    assert np.array_equal(p, reg_inc_gamma_lower(a_vec, x))
+    assert np.array_equal(q, reg_inc_gamma_upper(a_vec, x))
+
+
+@given(st.lists(st.tuples(_LOG_SHAPE, _POINT), min_size=2, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_inc_gamma_per_element_vector_against_previous_kernel(pairs):
+    a = np.exp([la for la, _ in pairs])
+    x = np.array([xi for _, xi in pairs])
+    # each shape also at its own a + 1 and at both sides of 10
+    a = np.concatenate([a, a, a, a])
+    x = np.concatenate([x, a[:len(pairs)] + 1.0, np.full(len(pairs), 10.0),
+                        np.full(len(pairs), np.nextafter(10.0, 0.0))])
+    _check_against_oracle(a, x, reg_inc_gamma_lower(a, x), reg_inc_gamma_upper(a, x))
+
+
+_EDGE_SHAPES = (1e-8, 1e-3, 0.93, 9.0, 9.5, 50.0, 3e3)
+
+
+@pytest.mark.parametrize("a", _EDGE_SHAPES)
+def test_inc_gamma_edges_do_not_warn(a):
+    # pytest turns any RuntimeWarning into an error
+    xs = [0.0, 1e-300, 0.5, 10.0 - 1e-6, 10.0, 10.0 + 1e-6, a + 1.0, 1e3, 1e8]
+    for k, x in enumerate(xs):
+        other = xs[(k + 1) % len(xs)]
+        for fn in (reg_inc_gamma_lower, reg_inc_gamma_upper):
+            value = fn(a, x)
+            assert 0.0 <= value <= 1.0
+            row = fn(np.array([[a]]), np.array([[x, other]]))
+            assert row.shape == (1, 2)
+            assert row[0, 0] == value
+
+
 def test_erf_against_oracle():
     for point in ORACLE["erf"]:
         assert erf(point["x"]) == pytest.approx(point["erf"], abs=1e-12)
