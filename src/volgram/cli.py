@@ -533,16 +533,16 @@ def _add_model_options(p):
 
 def _add_km_options(p):
     p.add_argument("--n-bins", type=_COUNT, default=50)
-    p.add_argument("--tau-max", type=int, default=10)
+    p.add_argument("--tau-max", type=_ranged(int, 3), default=10)
     p.add_argument("--tau-fit", type=_parse_tau_range, default="1:5",
                    help="lag fit range LO:HI")
-    p.add_argument("--min-count", type=int, default=100)
+    p.add_argument("--min-count", type=_COUNT, default=100)
 
 
 def _add_markov_options(p, bins_flag="--n-bins"):
     p.add_argument(bins_flag, type=_COUNT, default=20)
     p.add_argument("--lag", type=_COUNT, default=1)
-    p.add_argument("--min-cell-count", type=int, default=30)
+    p.add_argument("--min-cell-count", type=_COUNT, default=30)
     p.add_argument("--surrogates", type=_COUNT, default=100)
     p.add_argument("--percentile", type=_ranged(float, 0.0, 100.0), default=95.0)
 

@@ -136,12 +136,12 @@ def _log_moment_shape(y):
     return (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s), m
 
 
-def _gamma_guess(arr):
+def _gamma_guess(arr, ecdf):
     phi, m = _log_moment_shape(arr)
     return phi, m / phi
 
 
-def _inverse_gamma_guess(arr):
+def _inverse_gamma_guess(arr, ecdf):
     # 1/s is Gamma(phi, scale 1/theta)
     phi, m = _log_moment_shape(1.0 / arr)
     return phi, phi / m
@@ -161,12 +161,18 @@ def _log_normal_derivs(phi, theta, s):
     return -density / theta, -z * density
 
 
-def _log_normal_guess(arr):
+def _log_normal_guess(arr, ecdf):
     logs = np.log(arr)
     spread = float(logs.std())
     if spread <= 0.0:
         raise DegenerateSample("log-sample variance is zero")
     return float(logs.mean()), spread
+
+
+def _weibull_cdf(phi, theta, s):
+    # (s/theta)^phi overflows to inf at a large shape, where F is 1
+    with np.errstate(over="ignore"):
+        return 1.0 - np.exp(-np.exp(phi * (np.log(s) - np.log(theta))))
 
 
 def _weibull_log_pdf(phi, theta, s):
@@ -189,8 +195,9 @@ def _weibull_derivs(phi, theta, s):
     return u_exp_u * log_u, -phi * u_exp_u
 
 
-def _weibull_guess(arr):
-    ecdf = empirical_cdf(arr)
+def _weibull_guess(arr, ecdf):
+    if ecdf is None:
+        ecdf = empirical_cdf(arr)
     y = np.log(-np.log1p(-ecdf.f))
     x = np.log(ecdf.s)
     xm, ym = x.mean(), y.mean()
@@ -220,7 +227,7 @@ class _Model:
     derivs: Callable       # (phi, theta, s) -> (dF/dq0 or None, dF/dq1)
     moments: Callable      # (phi, theta) -> Moments
     draw: Callable         # (rng, phi, theta, n) -> n samples
-    guess: Callable        # (samples) -> (phi, theta)
+    guess: Callable        # (samples, EmpiricalCDF or None) -> (phi, theta)
     phi_positive: bool = True
 
 
@@ -270,7 +277,7 @@ _MODELS = {
         guess=_log_normal_guess,
         phi_positive=False),
     ModelKind.WEIBULL: _Model(
-        cdf=lambda phi, theta, s: 1.0 - np.exp(-np.exp(phi * (np.log(s) - np.log(theta)))),
+        cdf=_weibull_cdf,
         log_pdf=_weibull_log_pdf,
         derivs=_weibull_derivs,
         moments=_weibull_moments,
@@ -353,13 +360,15 @@ def sample(params: ModelParams, n: int, seed) -> np.ndarray:
     return _MODELS[params.kind].draw(rng, params.phi, params.theta, n)
 
 
-def initial_guess(kind: ModelKind, samples) -> ModelParams:
+def initial_guess(kind: ModelKind, samples,
+                  ecdf: EmpiricalCDF | None = None) -> ModelParams:
     """Closed-form starting point for the CDF fit.
 
     Gamma and inverse gamma start from Minka's log-moment shape (of the
     samples and of their reciprocals), which exists where the variance
     does not.  Log-normal takes the mean and spread of ln s; Weibull
-    regresses ln(-ln(1-F)) on ln s over the empirical CDF.
+    regresses ln(-ln(1-F)) on ln s over the empirical CDF, ``ecdf`` if
+    the caller already holds that of ``samples``.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.size < 10:
@@ -367,7 +376,7 @@ def initial_guess(kind: ModelKind, samples) -> ModelParams:
     _check_support(arr)
     if float(arr.var()) <= 0.0:
         raise DegenerateSample("sample variance is zero")
-    phi, theta = _MODELS[kind].guess(arr)
+    phi, theta = _MODELS[kind].guess(arr, ecdf)
     return ModelParams(kind, phi, theta)
 
 

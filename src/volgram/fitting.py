@@ -24,9 +24,9 @@ import numpy as np
 from . import distributions as dist
 from .distributions import (ALL_KINDS, EmpiricalCDF, ModelKind, ModelParams,
                             empirical_cdf)
-from .errors import NoConvergedFits, VolgramError
+from .errors import NoConvergedFits, NumericalError, VolgramError
 
-_STEP_TOL = 1e-9
+_OFFSET_TOL = 1e-4
 _SHAPE_STEP = 1e-6
 _MAX_ITER = 200
 _LAMBDA_INIT = 1e-3
@@ -76,11 +76,26 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
 
     Each iteration costs one Jacobian from the model table's derivatives
     (plus one ``cdf_grid`` row for the gamma-family shape) and one
-    residual per damping trial; a trial outside the parameter domain,
-    where exp(q) overflows or underflows, is rejected like one that
-    raises the rss.  Converges when every component of the step in q
-    drops below 1e-9, capped at 200 iterations.  Singular normal
-    equations are reported in the result rather than raised.
+    residual per damping trial.  A trial outside the parameter domain
+    (where exp(q) overflows or underflows), one whose CDF overflows or
+    raises a ``NumericalError``, and one with a non-finite rss are all
+    rejected like one that raises the rss.  Singular normal equations
+    are reported in the result rather than raised.
+
+    The fit stops on the relative-offset criterion of Bates and Watts
+    (Technometrics 23, 1981), tested at the top of each iteration before
+    any trial.  With g = J^T r at the current point, ``g^T (J^T J)^{-1} g``
+    is the part of the rss that a full Gauss-Newton step would remove,
+    and the fit has converged when
+    ``sqrt(that / p) <= tau * sqrt((rss - that) / (m - p))``, p = 2.  The
+    left side over the right is about the length of the remaining
+    Gauss-Newton step, measured in the linearized covariance of q,
+    divided by sqrt(p).  So at tau = 1e-4 the step still open moves no
+    parameter by more than about 1.4e-4 of its standard error, well
+    inside the 1e-3 standard errors that value parity allows, while the
+    digits beyond it, down to the rounding floor of the rss, are left
+    unchased.  A converged fit's errors come from J^T J at the point it
+    returns.  The fit is capped at 200 iterations.
     """
     if guess.kind is not kind:
         raise VolgramError(f"guess is for {guess.kind}, expected {kind}")
@@ -108,6 +123,15 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
         if not np.all(np.isfinite(jtj)) or np.any(diag <= 0.0):
             message = "singular Jacobian"
             break
+        try:
+            reducible = float(grad @ np.linalg.solve(jtj, grad))
+        except np.linalg.LinAlgError:
+            message = "singular Jacobian"
+            break
+        if reducible / 2 <= _OFFSET_TOL ** 2 * (rss - reducible) / (m - 2):
+            converged = True
+            message = "relative offset below tolerance"
+            break
         # why the fit stops after this step; None carries on
         stop = "damping exhausted without improvement"
         while lam <= _LAMBDA_MAX:
@@ -117,17 +141,18 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
                 stop = "singular Jacobian"
                 break
             trial = _params(kind, q + step)
-            if trial.is_valid():
-                r_trial = _residual(trial, ecdf)
+            try:
+                # dist.cdf raises DomainError outside the parameter domain
+                with np.errstate(over="raise"):
+                    r_trial = _residual(trial, ecdf)
                 rss_trial = float(r_trial @ r_trial)
-                if np.isfinite(rss_trial) and rss_trial <= rss:
-                    q, params, r, rss = q + step, trial, r_trial, rss_trial
-                    lam = max(lam / 10.0, 1e-12)
-                    stop = None
-                    if float(np.max(np.abs(step))) < _STEP_TOL:
-                        converged = True
-                        stop = "parameter step below tolerance"
-                    break
+            except (NumericalError, FloatingPointError):
+                rss_trial = math.inf
+            if math.isfinite(rss_trial) and rss_trial <= rss:
+                q, params, r, rss = q + step, trial, r_trial, rss_trial
+                lam = max(lam / 10.0, 1e-12)
+                stop = None
+                break
             lam *= 10.0
         if stop is not None:
             message = stop
@@ -157,7 +182,7 @@ def fit_window_all_models(window, kinds: tuple[ModelKind, ...] = ALL_KINDS,
     out: dict[ModelKind, FitResult] = {}
     for kind in kinds:
         try:
-            guess = dist.initial_guess(kind, samples)
+            guess = dist.initial_guess(kind, samples, ecdf)
             out[kind] = fit_cdf(kind, ecdf, guess)
         except VolgramError as err:
             fallback = ModelParams(kind, np.nan, np.nan)

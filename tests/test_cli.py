@@ -447,6 +447,10 @@ def test_fit_pool_is_capped(monkeypatch):
     ["markov", "--percentile", "150"],
     ["km", "--n-bins", "0"],
     ["km", "--n-bins", "-1"],
+    ["km", "--tau-max", "2"],
+    ["km", "--min-count", "0"],
+    ["markov", "--min-cell-count", "-1"],
+    ["pipeline", "--tau-max", "0"],
     ["summary", "--hist-bins", "0"],
     ["ingest", "--window-len", "0"],
     ["simulate", "market", "--companies", "0"],

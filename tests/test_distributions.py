@@ -1,6 +1,7 @@
 """Model PDFs, CDFs, moments, sampling, and initial guesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import quadrature_oracle as oracle
 from volgram.distributions import (_MODELS, ALL_KINDS, ModelKind, ModelParams,
                                    analytic_moments, cdf, cdf_grid,
-                                   initial_guess, pdf, sample)
+                                   empirical_cdf, initial_guess, pdf, sample)
 from volgram.errors import DegenerateSample, DomainError, TooFewSamples
 
 INV_GAMMA = ModelKind.INVERSE_GAMMA
@@ -100,6 +101,14 @@ def test_cdf_limits():
     inv = ModelParams(INV_GAMMA, 0.93, 1.0)
     assert cdf(inv, 1e-9) < 1e-12
     assert cdf(inv, 1e9) > 1.0 - 1e-6
+
+
+def test_weibull_cdf_saturates_without_warning():
+    # (s/theta)^phi overflows at a large shape, where F is exactly 0 or 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = cdf(ModelParams(ModelKind.WEIBULL, 1e4, 1.0), [0.5, 2.0])
+    assert values.tolist() == [0.0, 1.0]
 
 
 def test_inverse_gamma_power_law_tail():
@@ -192,9 +201,12 @@ def test_initial_guess_log_normal_recovery():
 
 def test_initial_guess_weibull_recovery():
     true = ModelParams(ModelKind.WEIBULL, 2.0, 1.5)
-    guess = initial_guess(ModelKind.WEIBULL, sample(true, 10**5, seed=12))
+    samples = sample(true, 10**5, seed=12)
+    guess = initial_guess(ModelKind.WEIBULL, samples)
     assert guess.phi == pytest.approx(2.0, rel=0.05)
     assert guess.theta == pytest.approx(1.5, rel=0.05)
+    # the caller's ECDF of the same samples gives the same guess
+    assert initial_guess(ModelKind.WEIBULL, samples, empirical_cdf(samples)) == guess
 
 
 def test_initial_guess_rejects_bad_samples():

@@ -5,6 +5,7 @@ import pytest
 
 from test_acceptance import _cramer_rao_rel_sd
 from volgram import distributions as dist
+from volgram import fitting
 from volgram.distributions import ALL_KINDS, ModelKind, ModelParams
 from volgram.errors import NoConvergedFits, TooFewSamples
 from volgram.fitting import (EmpiricalCDF, _jacobian, empirical_cdf,
@@ -226,6 +227,58 @@ def test_stalled_start_is_never_converged():
     guess = ModelParams(INV_GAMMA, 2.0005004302798013, 1.0005004302798006)
     result = fit_cdf(INV_GAMMA, empirical_cdf(window.samples), guess)
     assert not (result.converged and result.rss > 1.0), result
+
+
+def _market_windows(companies, windows, seed):
+    spec = LangevinSpec(dt=1.0, n_steps=windows, initial=0.93, seed=seed,
+                        drift_slope=-0.2, fixed_point=0.93, diffusion=2e-4)
+    return simulate_market(companies, windows, spec, theta=1.0, seed=seed).windows
+
+
+def test_far_trial_is_rejected_not_raised():
+    # from (10 phi0, 10 theta0) on window 13 of this market a gamma trial
+    # reaches phi 7.6e32, theta 2.1e-321 (subnormal), where s / theta
+    # overflows and the incomplete gamma raised DomainError
+    window = _market_windows(2000, 140, 4001)[13]
+    ecdf = empirical_cdf(window.samples)
+    guess = dist.initial_guess(ModelKind.GAMMA, window.samples)
+    far = fit_cdf(ModelKind.GAMMA, ecdf,
+                  ModelParams(ModelKind.GAMMA, 10.0 * guess.phi, 10.0 * guess.theta))
+    near = fit_cdf(ModelKind.GAMMA, ecdf, guess)
+    assert far.converged and near.converged, (far, near)
+    assert far.rss == pytest.approx(near.rss, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_converged_fit_never_ends_above_its_start(kind):
+    windows = _market_windows(500, 10, 307)
+    stalled = ModelParams(INV_GAMMA, 2.0005004302798013, 1.0005004302798006)
+    for window in windows:
+        ecdf = empirical_cdf(window.samples)
+        guess = dist.initial_guess(kind, window.samples, ecdf)
+        starts = [guess] + [ModelParams(kind, guess.phi * k, guess.theta * k)
+                            for k in (0.1, 10.0)]
+        if kind is INV_GAMMA:
+            starts.append(stalled)
+        for start in starts:
+            result = fit_cdf(kind, ecdf, start)
+            r = np.asarray(dist.cdf(start, ecdf.s)) - ecdf.f
+            assert not result.converged or result.rss <= r @ r, (start, result)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_offset_stop_agrees_with_a_tighter_stop(kind, monkeypatch):
+    # at tau = 1e-8 most fits reach the rounding floor of the rss and run
+    # to the iteration cap; where they stop is still the reference
+    windows = _market_windows(200, 40, 211)
+    loose = [fit_window_all_models(w, kinds=(kind,))[kind] for w in windows]
+    monkeypatch.setattr(fitting, "_OFFSET_TOL", 1e-8)
+    tight = [fit_window_all_models(w, kinds=(kind,))[kind] for w in windows]
+    for a, b in zip(loose, tight):
+        assert a.converged, a
+        for old, new, rel in [(a.params.phi, b.params.phi, b.rel_err_phi),
+                              (a.params.theta, b.params.theta, b.rel_err_theta)]:
+            assert abs(old - new) <= 1e-3 * rel * abs(new), (a, b)
 
 
 def test_fit_window_too_few_samples():
