@@ -148,7 +148,7 @@ def fit_cdf(kind: ModelKind, ecdf: EmpiricalCDF, guess: ModelParams) -> FitResul
                 rss_trial = float(r_trial @ r_trial)
             except (NumericalError, FloatingPointError):
                 rss_trial = math.inf
-            if math.isfinite(rss_trial) and rss_trial <= rss:
+            if math.isfinite(rss_trial) and rss_trial < rss:
                 q, params, r, rss = q + step, trial, r_trial, rss_trial
                 lam = max(lam / 10.0, 1e-12)
                 stop = None

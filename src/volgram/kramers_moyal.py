@@ -72,7 +72,6 @@ class KMCoefficients:
     d1: np.ndarray
     d2: np.ndarray
     d2_raw: np.ndarray
-    negative_d2: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     m1_line_rss: np.ndarray
@@ -206,8 +205,7 @@ def km_estimate(moments: ConditionalMoments,
     a2, b2, rss2 = _line_fit(moments.m2[:, sel], taus)
     d1 = b1 / moments.dt
     d2_raw = b2 / (2.0 * moments.dt)
-    negative = d2_raw < 0.0
-    d2 = np.where(negative, 0.0, d2_raw)
+    d2 = np.where(d2_raw < 0.0, 0.0, d2_raw)
 
     mean_bin = _mean_bin_index(moments)
     noise_sigma = (float("nan") if mean_bin is None
@@ -233,7 +231,6 @@ def km_estimate(moments: ConditionalMoments,
         d1=d1,
         d2=d2,
         d2_raw=d2_raw,
-        negative_d2=negative,
         a1=a1,
         a2=a2,
         m1_line_rss=rss1,
@@ -268,17 +265,22 @@ class MarkovTestResult:
     n_cells: int
 
 
-def _binned_markov_distance(idx: np.ndarray, valid: np.ndarray, n_bins: int,
-                            lag: int, min_cell: int) -> tuple[float, int]:
-    """Count-weighted mean |p(x3|x2,x1) - p(x3|x2)| over conditioning
-    cells (x1, x2) with at least ``min_cell`` events."""
+def _triple_counts(idx: np.ndarray, valid: np.ndarray, n_bins: int,
+                   lag: int) -> np.ndarray:
+    """Counts c3[x1, x2, x3] of the lag-spaced bin triples whose span
+    ``valid`` marks gap-free."""
     h = idx[:-2 * lag]
     i = idx[lag:-lag]
     j = idx[2 * lag:]
     if not valid.all():
         h, i, j = h[valid], i[valid], j[valid]
-    c3 = np.bincount((h * n_bins + i) * n_bins + j,
-                     minlength=n_bins ** 3).reshape(n_bins, n_bins, n_bins)
+    return np.bincount((h * n_bins + i) * n_bins + j,
+                       minlength=n_bins ** 3).reshape(n_bins, n_bins, n_bins)
+
+
+def _markov_distance(c3: np.ndarray, min_cell: int) -> tuple[float, int]:
+    """Count-weighted mean |p(x3|x2,x1) - p(x3|x2)| over conditioning
+    cells (x1, x2) with at least ``min_cell`` events."""
     c2 = c3.sum(axis=0)       # the (x2, x3) counts of the same events
     n3 = c3.sum(axis=2)
     n2 = c2.sum(axis=1)
@@ -300,9 +302,16 @@ def markov_test(series: ParamSeries, n_bins: int = 20, lag: int = 1,
     """Compare two-point and three-point conditional probabilities.
 
     The distance between p(x3|x2) and p(x3|x2,x1) on a bin grid is
-    calibrated against shuffled surrogates, which destroy all temporal
-    structure while preserving the marginal; the series passes when its
-    distance stays below the surrogate percentile.
+    calibrated against Theiler's i.i.d. surrogate null, which keeps the
+    marginal and destroys all temporal structure; the series passes when
+    its distance stays below the surrogate percentile.  The distance
+    reads only the triple counts, so a surrogate is drawn as counts, not
+    as a series: Multinomial(m, p x p x p), with m the number of gap-free
+    triples and p the marginal bin frequencies, one level at a time (the
+    x1 counts, then the x2 counts per x1, then the x3 counts per
+    (x1, x2)).  This treats the m overlapping triples of a shuffled
+    series as independent draws, which its counts approach as the series
+    grows; no surrogate costs a pass over the series.
     """
     n = len(series)
     if n < 10 * n_bins or n < 2 * lag + 1:
@@ -312,19 +321,19 @@ def markov_test(series: ParamSeries, n_bins: int = 20, lag: int = 1,
     prefix = _gap_prefix(series)
     valid = (prefix[2 * lag:] - prefix[:-2 * lag]) == 0
 
-    distance, n_cells = _binned_markov_distance(idx, valid, n_bins, lag,
-                                                min_cell_count)
+    distance, n_cells = _markov_distance(
+        _triple_counts(idx, valid, n_bins, lag), min_cell_count)
     if n_cells == 0:
         raise AllBinsUnderpopulated(
             f"no conditioning cell reaches {min_cell_count} events")
 
     rng = np.random.default_rng(seed)
-    surrogate = idx.copy()
+    m = int(valid.sum())
+    p = np.bincount(idx, minlength=n_bins) / n
     stats = np.empty(n_surrogates)
     for k in range(n_surrogates):
-        rng.shuffle(surrogate)
-        stats[k], _ = _binned_markov_distance(surrogate, valid, n_bins, lag,
-                                              min_cell_count)
+        c3 = rng.multinomial(rng.multinomial(rng.multinomial(m, p), p), p)
+        stats[k], _ = _markov_distance(c3, min_cell_count)
     if np.any(np.isnan(stats)):
         raise AllBinsUnderpopulated(
             "surrogate calibration found no qualifying cells; reduce "

@@ -355,8 +355,9 @@ def test_criterion_6_markov_discrimination(reference_ou_series):
 
     The OU run uses 40 bins: discretized conditioning breaks the Markov
     property mechanically (the position inside a wide bin carries
-    memory), and at 10^6 samples the shuffled-surrogate noise floor
-    drops below that artifact unless the grid is fine enough.
+    memory), and at 10^6 samples the noise floor of the i.i.d.
+    surrogates (triple counts drawn from the marginal) drops below that
+    artifact unless the grid is fine enough.
     """
     t0 = time.perf_counter()
     ou_result = markov_test(reference_ou_series, n_bins=40, lag=1, seed=501)

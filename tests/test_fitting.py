@@ -268,8 +268,8 @@ def test_converged_fit_never_ends_above_its_start(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_offset_stop_agrees_with_a_tighter_stop(kind, monkeypatch):
-    # at tau = 1e-8 most fits reach the rounding floor of the rss and run
-    # to the iteration cap; where they stop is still the reference
+    # at tau = 1e-8 many fits reach the rounding floor of the rss first
+    # and end "damping exhausted"; where they stop is still the reference
     windows = _market_windows(200, 40, 211)
     loose = [fit_window_all_models(w, kinds=(kind,))[kind] for w in windows]
     monkeypatch.setattr(fitting, "_OFFSET_TOL", 1e-8)
@@ -279,6 +279,29 @@ def test_offset_stop_agrees_with_a_tighter_stop(kind, monkeypatch):
         for old, new, rel in [(a.params.phi, b.params.phi, b.rel_err_phi),
                               (a.params.theta, b.params.theta, b.rel_err_theta)]:
             assert abs(old - new) <= 1e-3 * rel * abs(new), (a, b)
+
+
+def test_flat_trial_is_rejected_at_the_rss_floor(monkeypatch):
+    # a trial that only equals the rss must not be accepted: at tau = 1e-8
+    # fits reach the rounding floor before the offset test is met, and
+    # walking flat steps from there ran 16 of these 40 fits to the cap
+    windows = _market_windows(200, 40, 211)
+    monkeypatch.setattr(fitting, "_OFFSET_TOL", 1e-8)
+    calls = []
+    residual = fitting._residual
+
+    def counted(params, ecdf):
+        calls.append(params)
+        return residual(params, ecdf)
+
+    monkeypatch.setattr(fitting, "_residual", counted)
+    per_fit = []
+    for window in windows:
+        start = len(calls)
+        result = fit_window_all_models(window, kinds=(INV_GAMMA,))[INV_GAMMA]
+        per_fit.append(len(calls) - start)
+        assert result.iterations < fitting._MAX_ITER, result
+    assert max(per_fit) <= 60, per_fit
 
 
 def test_fit_window_too_few_samples():

@@ -7,8 +7,8 @@ import pytest
 from volgram.errors import (AllBinsUnderpopulated, InsufficientTauPoints,
                             MeanBinUnpopulated, SeriesTooShort)
 from volgram.kramers_moyal import (ConditionalMoments, ParamSeries,
-                                   _bin_index, _binned_markov_distance,
-                                   _gap_prefix, conditional_moments,
+                                   _bin_index, _gap_prefix, _markov_distance,
+                                   _triple_counts, conditional_moments,
                                    estimate_measurement_noise, km_estimate,
                                    markov_test)
 from volgram.langevin import LangevinSpec, add_measurement_noise, simulate_langevin
@@ -195,11 +195,13 @@ def test_markov_iid_passes():
     assert result.passed
 
 
+def _ma3(n, seed):
+    eps = np.random.default_rng(seed).standard_normal(n + 2)
+    return _series((eps[2:] + eps[1:-1] + eps[:-2]) / 3.0)
+
+
 def test_markov_moving_average_fails():
-    rng = np.random.default_rng(13)
-    eps = rng.standard_normal(100_002)
-    ma = (eps[2:] + eps[1:-1] + eps[:-2]) / 3.0
-    result = markov_test(_series(ma), n_bins=20, lag=1, seed=14)
+    result = markov_test(_ma3(100_000, seed=13), n_bins=20, lag=1, seed=14)
     assert not result.passed
     assert result.distance > result.threshold
 
@@ -251,6 +253,67 @@ def test_markov_distance_equals_two_bincount_form(gaps, n_bins):
     rng = np.random.default_rng(22)
     surrogate = idx.copy()
     for _ in range(5):
-        assert (_binned_markov_distance(surrogate, valid, n_bins, 1, 30)
+        c3 = _triple_counts(surrogate, valid, n_bins, 1)
+        assert (_markov_distance(c3, 30)
                 == _two_bincount_distance(surrogate, valid, n_bins, 1, 30))
         rng.shuffle(surrogate)
+
+
+def _shuffle_threshold(series, n_bins, min_cell, seed, n_surrogates=100):
+    """The surrogate threshold of a permutation null: shuffle the bin
+    codes, recount the triples."""
+    _, idx = _bin_index(series.values, n_bins)
+    valid = np.ones(len(series) - 2, dtype=bool)
+    rng = np.random.default_rng(seed)
+    surrogate = idx.copy()
+    stats = np.empty(n_surrogates)
+    for k in range(n_surrogates):
+        rng.shuffle(surrogate)
+        stats[k], _ = _markov_distance(
+            _triple_counts(surrogate, valid, n_bins, 1), min_cell)
+    return float(np.percentile(stats, 95.0, method="higher"))
+
+
+@pytest.mark.parametrize("make, n_bins, min_cell", [
+    (lambda: _ou(50_000, seed=31), 40, 30),
+    (lambda: _ma3(20_000, seed=32), 20, 30),
+    (lambda: _ou(140, seed=33, k=0.2, d2=2e-4), 4, 5),
+], ids=["ou", "ma3", "short"])
+def test_multinomial_null_matches_the_shuffle_null(make, n_bins, min_cell):
+    # a shuffle keeps the series' composition and overlaps its triples;
+    # the multinomial draws m independent triples from the marginal.
+    # Over seeds the two mean thresholds agree within Monte Carlo error
+    series = make()
+    seeds = range(40, 60)
+    drawn = np.array([markov_test(series, n_bins=n_bins,
+                                  min_cell_count=min_cell, seed=s).threshold
+                      for s in seeds])
+    shuffled = np.array([_shuffle_threshold(series, n_bins, min_cell, s)
+                         for s in seeds])
+    se = np.sqrt((drawn.var(ddof=1) + shuffled.var(ddof=1)) / len(seeds))
+    assert abs(drawn.mean() - shuffled.mean()) <= 2.0 * se, (
+        drawn.mean(), shuffled.mean(), se)
+
+
+@pytest.mark.parametrize("n, n_bins, min_cell", [(40, 2, 3), (140, 4, 5)])
+def test_iid_false_failures_stay_at_the_level_on_short_series(n, n_bins,
+                                                               min_cell):
+    # 400 i.i.d. series at the 95th percentile: the false-failure count
+    # stays within the 0.999 quantile of Binomial(400, 0.05).  The drawn
+    # counts run a little above the level at these sizes (6-7% over
+    # many series sets, against 5% for a shuffle), inside this bound
+    rng = np.random.default_rng([n, n_bins])
+    false_fails = sum(
+        not markov_test(_series(rng.uniform(size=n)), n_bins=n_bins,
+                        min_cell_count=min_cell, seed=rep).passed
+        for rep in range(400))
+    assert false_fails <= 35, false_fails
+
+
+def test_underpopulated_surrogates_raise():
+    # 20 zeros then 20 ones: the (0, 0) cell holds 19 triples, but an
+    # i.i.d. draw of 38 triples from a fair marginal almost never puts
+    # 19 in one cell
+    series = _series(np.r_[np.zeros(20), np.ones(20)])
+    with pytest.raises(AllBinsUnderpopulated, match="surrogate"):
+        markov_test(series, n_bins=2, min_cell_count=19)

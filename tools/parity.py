@@ -26,7 +26,10 @@ parity:
 * each number in the ``km.json`` and ``markov.json`` files: the largest
   relative change per key (list entries share their key), a key whose
   number of values changed, and any other value (the Markov verdict)
-  that differs.
+  that differs;
+* for each Markov result (``markov.json``, and the ``markov`` entry of a
+  pipeline's ``km.json``), its distance/threshold ratio, old -> new.
+  This only reports; it does not enter the gate.
 
 It exits 1 if a converged fit moved by more than 1e-3 SE, a converged
 flag changed, a window or a key's value count changed, or a
@@ -185,11 +188,19 @@ def _leaves(doc, key: str = ""):
         yield key, doc
 
 
+def _markov(doc: dict) -> dict | None:
+    """The Markov result of a markov.json or pipeline km.json, if any."""
+    doc = doc.get("markov", doc)
+    return doc if isinstance(doc, dict) and "threshold" in doc else None
+
+
 def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> int:
     """Print the moves of one number file; return how many breach the gate."""
     values: dict[str, tuple[list, list]] = {}
+    markov = []
     for side, root in enumerate((old_dir, new_dir)):
         doc = json.loads((root / rel).read_text(encoding="utf-8"))
+        markov.append(_markov(doc))
         for key, value in _leaves(doc):
             values.setdefault(key, ([], []))[side].append(value)
     lines, breaches = [], 0
@@ -213,6 +224,9 @@ def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> int:
     print(f"{rel}: {len(values)} keys, {len(lines)} moved")
     for line in lines:
         print(line)
+    if all(markov):
+        print("  markov distance/threshold: "
+              + " -> ".join(f"{r['distance'] / r['threshold']:.4g}" for r in markov))
     return breaches
 
 
