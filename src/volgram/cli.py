@@ -60,8 +60,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_fit_rows(path: Path) -> list[dict]:
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except ValueError as err:
+                raise DataError(f"{path} line {lineno}: "
+                                f"{type(err).__name__}: {err}") from None
     if not rows:
         raise DataError(f"no fit rows in {path}")
     return rows
@@ -172,22 +180,6 @@ def run_fit(windows: list[market_data.SnapshotWindow], output_path: Path,
     return rows
 
 
-def _results_from_rows(rows: list[dict]) -> list[dict[ModelKind, fitting.FitResult]]:
-    def value(x):
-        return math.nan if x is None else x     # strict JSON's null
-
-    out = []
-    for row in rows:
-        per = {}
-        for name, m in row["models"].items():
-            kind = ModelKind(name)
-            per[kind] = fitting.FitResult(
-                params=fitting.ModelParams(kind, value(m["phi"]), value(m["theta"])),
-                **{key: value(m[key]) for key in _FIT_FIELDS})
-        out.append(per)
-    return out
-
-
 def series_from_fit_rows(rows: list[dict], model: ModelKind,
                          param: str = "phi") -> km_mod.ParamSeries:
     """Time-ordered parameter series from fit rows.
@@ -197,7 +189,7 @@ def series_from_fit_rows(rows: list[dict], model: ModelKind,
     missing stretches.
     """
     rows = sorted(rows, key=lambda r: r["window_start"])
-    times, values, gaps = [], [], []
+    values, gaps = [], []
     expected_next = None
     for row in rows:
         entry = row["models"].get(model.value)
@@ -205,25 +197,26 @@ def series_from_fit_rows(rows: list[dict], model: ModelKind,
         step = row.get("window_len", 600.0)
         contiguous = expected_next is not None and abs(start - expected_next) < 1e-9
         if entry is not None and entry["converged"]:
-            if times and not contiguous:
-                gaps.append(len(times) - 1)
-            times.append(start)
+            if values and not contiguous:
+                gaps.append(len(values) - 1)
             values.append(entry[param])
         expected_next = start + step
     if len(values) < 2:
         raise DataError(f"fewer than 2 converged {model.value} fits")
-    return km_mod.ParamSeries(times=np.asarray(times),
-                              values=np.asarray(values),
-                              dt=1.0, gaps=np.asarray(gaps, dtype=int))
+    return km_mod.ParamSeries(values=np.asarray(values), dt=1.0,
+                              gaps=np.asarray(gaps, dtype=int))
 
 
 def _series_from_args(args) -> km_mod.ParamSeries:
     if getattr(args, "series", None):
-        doc = json.loads(Path(args.series).read_text(encoding="utf-8"))
-        return km_mod.ParamSeries(times=np.asarray(doc["times"]),
-                                  values=np.asarray(doc["values"]),
-                                  dt=float(doc.get("dt", 1.0)),
-                                  gaps=np.asarray(doc.get("gaps", []), dtype=int))
+        path = Path(args.series)
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            return km_mod.ParamSeries(values=np.asarray(doc["values"]),
+                                      dt=float(doc.get("dt", 1.0)),
+                                      gaps=np.asarray(doc.get("gaps", []), dtype=int))
+        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            raise DataError(f"{path}: {type(err).__name__}: {err}") from None
     rows = _read_fit_rows(Path(args.input))
     return series_from_fit_rows(rows, ModelKind(args.model), args.param)
 
@@ -231,7 +224,6 @@ def _series_from_args(args) -> km_mod.ParamSeries:
 def _series_payload(series: km_mod.ParamSeries) -> dict:
     return {"kind": "param-series",
             "dt": series.dt,
-            "times": series.times.tolist(),
             "values": series.values.tolist(),
             "gaps": series.gaps.tolist()}
 
@@ -426,8 +418,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_summary(args) -> int:
-    results = _results_from_rows(_read_fit_rows(Path(args.input)))
-    _write_json(Path(args.output), fitting.error_summary(results, args.hist_bins))
+    rows = _read_fit_rows(Path(args.input))
+    _write_json(Path(args.output), fitting.error_summary(rows, args.hist_bins))
     return 0
 
 
@@ -490,7 +482,7 @@ def _cmd_pipeline(args) -> int:
                           args.min_companies, args.column_map)
 
     rows = run_fit(windows, outdir / "fits.jsonl", args.models, args.jobs)
-    summary = fitting.error_summary(_results_from_rows(rows), args.hist_bins)
+    summary = fitting.error_summary(rows, args.hist_bins)
     _write_json(outdir / "summary.json", summary)
 
     series = series_from_fit_rows(rows, ModelKind(args.model), args.param)
@@ -512,7 +504,7 @@ def _add_ingest_options(p):
     p.add_argument("--window-len", type=_ranged(float, 0.0, low_open=True), default=600.0)
     p.add_argument("--session-filter", action=argparse.BooleanOptionalAction,
                    default=True)
-    p.add_argument("--min-companies", type=int, default=50)
+    p.add_argument("--min-companies", type=_COUNT, default=50)
     p.add_argument("--column-map", type=_parse_column_map, default=None,
                    help="field=column overrides, comma separated")
 
@@ -643,6 +635,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "pipeline" and ModelKind(args.model) not in args.models:
+            parser.error(f"--model {args.model} is not among --models")
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -191,22 +191,24 @@ def fit_window_all_models(window, kinds: tuple[ModelKind, ...] = ALL_KINDS,
     return out
 
 
-def error_summary(results: list[dict[ModelKind, FitResult]],
-                  hist_bins: int = 64) -> dict:
-    """The summary report: average/std of the relative parameter errors
-    per model, over the converged fits, with histograms of the error
-    distributions, keyed by model name."""
-    if not results:
+def error_summary(rows: list[dict], hist_bins: int = 64) -> dict:
+    """The summary report from fit rows (the ``fits.jsonl`` records):
+    average/std of the relative parameter errors per model, over the
+    converged fits, with histograms of the error distributions, keyed by
+    model name."""
+    if not rows:
         raise NoConvergedFits("no fit results to summarize")
-    kinds = [k for k in ALL_KINDS if any(k in row for row in results)]
     models = {}
-    for kind in kinds:
-        rows = [row[kind] for row in results if kind in row]
-        good = [fr for fr in rows if fr.converged]
+    for kind in ALL_KINDS:
+        entries = [row["models"][kind.value] for row in rows
+                   if kind.value in row["models"]]
+        if not entries:
+            continue
+        good = [m for m in entries if m["converged"]]
         if not good:
             raise NoConvergedFits(f"model {kind} has no converged fits")
-        rp = np.array([fr.rel_err_phi for fr in good])
-        rt = np.array([fr.rel_err_theta for fr in good])
+        rp = np.array([m["rel_err_phi"] for m in good], dtype=float)
+        rt = np.array([m["rel_err_theta"] for m in good], dtype=float)
         counts_phi, edges_phi = np.histogram(rp, bins=hist_bins)
         counts_theta, edges_theta = np.histogram(rt, bins=hist_bins)
         models[kind.value] = {
@@ -215,9 +217,9 @@ def error_summary(results: list[dict[ModelKind, FitResult]],
             "avg_rel_err_theta": float(rt.mean()),
             "std_rel_err_theta": float(rt.std()),
             "n_converged": len(good),
-            "n_failed": len(rows) - len(good),
+            "n_failed": len(entries) - len(good),
             "hist_phi": {"edges": edges_phi.tolist(), "counts": counts_phi.tolist()},
             "hist_theta": {"edges": edges_theta.tolist(), "counts": counts_theta.tolist()},
         }
-    return {"models": models, "n_windows": len(results),
+    return {"models": models, "n_windows": len(rows),
             "n_failed": sum(m["n_failed"] for m in models.values())}

@@ -22,23 +22,19 @@ from .errors import (AllBinsUnderpopulated, DomainError, InsufficientTauPoints,
 
 @dataclass(frozen=True)
 class ParamSeries:
-    """Time-ordered fitted parameter values.
+    """Fitted parameter values sampled every ``dt``.
 
     ``gaps`` lists indices i such that a market-closed break (or any
     other discontinuity) separates values[i] and values[i+1]; increments
     spanning such a step never enter moment estimation.
     """
-    times: np.ndarray
     values: np.ndarray
     dt: float = 1.0
     gaps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "gaps", np.asarray(self.gaps, dtype=int))
-        if self.times.shape != self.values.shape:
-            raise DomainError("times and values must have equal length")
         if np.any(~np.isfinite(self.values)):
             raise DomainError("parameter series contains non-finite values")
 
@@ -50,8 +46,9 @@ class ParamSeries:
 class ConditionalMoments:
     """Binned conditional moments M1, M2 of tau-step increments.
 
-    Only bins whose conditioning count reaches ``min_count`` at every
-    tau are reported; arrays are indexed [bin, tau-1].
+    Only bins whose conditioning count reaches the ``min_count`` of
+    ``conditional_moments`` at every tau are reported; arrays are indexed
+    [bin, tau-1].
     """
     bin_centers: np.ndarray
     counts: np.ndarray
@@ -61,7 +58,6 @@ class ConditionalMoments:
     dt: float
     mean_value: float
     bin_width: float
-    min_count: int
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,6 @@ def conditional_moments(series: ParamSeries, n_bins: int = 50,
         dt=series.dt,
         mean_value=float(v.mean()),
         bin_width=float(width),
-        min_count=min_count,
     )
 
 

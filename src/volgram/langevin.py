@@ -73,7 +73,7 @@ def simulate_langevin(spec: LangevinSpec) -> ParamSeries:
     for xi in noise.tolist():
         x += slope * (x - fp) * dt + scale * xi
         path.append(x)
-    return ParamSeries(times=np.arange(n) * dt, values=np.array(path), dt=dt)
+    return ParamSeries(values=np.array(path), dt=dt)
 
 
 def add_measurement_noise(series: ParamSeries, sigma_m: float,
@@ -85,8 +85,7 @@ def add_measurement_noise(series: ParamSeries, sigma_m: float,
         return series
     rng = np.random.default_rng(seed)
     noisy = series.values + rng.normal(0.0, sigma_m, size=len(series))
-    return ParamSeries(times=series.times.copy(), values=noisy,
-                       dt=series.dt, gaps=series.gaps.copy())
+    return ParamSeries(values=noisy, dt=series.dt, gaps=series.gaps.copy())
 
 
 def simulate_market(n_companies: int, n_windows: int,
@@ -120,6 +119,4 @@ def simulate_market(n_companies: int, n_windows: int,
             std_s=float(raw.std()),
             n_companies=n_companies,
         ))
-    times = np.arange(n_windows) * window_len
-    return MarketSim(windows=windows,
-                     truth=ParamSeries(times=times, values=phis, dt=1.0))
+    return MarketSim(windows=windows, truth=ParamSeries(values=phis, dt=1.0))

@@ -160,6 +160,8 @@ def build_windows(records: list[QuoteRecord], window_len: float = 600.0,
         raise EmptyInput("no quote records")
     if window_len <= 0:
         raise ValueError("window_len must be positive")
+    if min_companies < 1:
+        raise ValueError("min_companies must be at least 1")
     ordered = sorted(records, key=itemgetter(0))
     tz = ZoneInfo(SESSION_TZ)
 

@@ -365,15 +365,13 @@ def test_criterion_6_markov_discrimination(reference_ou_series):
     rng = np.random.default_rng(500)
     eps = rng.standard_normal(10**5 + 2)
     ma3 = (eps[2:] + eps[1:-1] + eps[:-2]) / 3.0
-    ma_series = ParamSeries(times=np.arange(ma3.size, dtype=float),
-                            values=ma3)
+    ma_series = ParamSeries(values=ma3)
     ma_result = markov_test(ma_series, n_bins=20, lag=1, seed=502)
 
     false_fails = 0
     for rep in range(100):
         rng_rep = np.random.default_rng(1000 + rep)
-        iid = ParamSeries(times=np.arange(20000, dtype=float),
-                          values=rng_rep.uniform(size=20000))
+        iid = ParamSeries(values=rng_rep.uniform(size=20000))
         result = markov_test(iid, n_bins=20, lag=1, seed=5000 + rep)
         false_fails += (not result.passed)
     elapsed = time.perf_counter() - t0
@@ -411,19 +409,17 @@ def test_criterion_7_end_to_end_pipeline():
     sim = simulate_market(2000, 10**4, proc, theta=1.0, seed=2024)
     t_sim = time.perf_counter() - t0
 
-    times, values, gaps = [], [], []
+    values, gaps = [], []
     expected_index = None
     for i, window in enumerate(sim.windows):
         fit = fit_window_all_models(window.samples,
                                     kinds=(INV_GAMMA,))[INV_GAMMA]
         if fit.converged:
-            if times and expected_index != i:
-                gaps.append(len(times) - 1)
-            times.append(i)
+            if values and expected_index != i:
+                gaps.append(len(values) - 1)
             values.append(fit.params.phi)
             expected_index = i + 1
-    series = ParamSeries(times=np.asarray(times, dtype=float),
-                         values=np.asarray(values), dt=1.0,
+    series = ParamSeries(values=np.asarray(values), dt=1.0,
                          gaps=np.asarray(gaps, dtype=int))
     t_fit = time.perf_counter() - t0 - t_sim
 

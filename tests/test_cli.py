@@ -69,12 +69,14 @@ def test_unknown_model_is_usage_error(tmp_path, capsys):
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / f"{stage}.json").exists()
-    # rejected before the fit stage runs
-    rc = main(["pipeline", "--input", str(out), "--outdir",
-               str(tmp_path / "pipe"), "--model", "cauchy", "--jobs", "1"])
-    assert rc == 1
-    assert "usage error" in capsys.readouterr().err
-    assert not (tmp_path / "pipe" / "fits.jsonl").exists()
+    # rejected before the fit stage runs, as is a --model that is not fitted
+    for extra in (["--model", "cauchy"],
+                  ["--models", "gamma", "--model", "inverse-gamma"]):
+        rc = main(["pipeline", "--input", str(out), "--outdir",
+                   str(tmp_path / "pipe"), "--jobs", "1"] + extra)
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "pipe" / "fits.jsonl").exists()
 
 
 def test_missing_file_is_data_error(tmp_path):
@@ -253,6 +255,70 @@ def test_km_from_simulated_series(tmp_path):
     assert rc == 0
     doc = json.loads(km_doc.read_text())
     assert doc["drift_slope"] < 0.0
+
+
+SERIES_KEYS = {"format_version", "kind", "dt", "values", "gaps"}
+
+
+def test_series_files_hold_only_what_is_read(tmp_path):
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "2000", "--seed", "4"]) == 0
+    assert set(_strict_json(series.read_text())) == SERIES_KEYS
+    _, truth = _simulate_market_files(tmp_path, windows=5, companies=20)
+    assert set(_strict_json(truth.read_text())) == SERIES_KEYS
+
+
+def test_series_with_times_gives_the_same_km(tmp_path):
+    # files written before the series lost its time axis still load
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "20000", "--seed", "4"]) == 0
+    doc = json.loads(series.read_text())
+    doc["times"] = [600.0 * i for i in range(len(doc["values"]))]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    opts = ["--n-bins", "20", "--tau-max", "5", "--tau-fit", "1:3",
+            "--min-count", "50"]
+    for src in (series, old):
+        assert main(["km", "--series", str(src), "--output",
+                     str(tmp_path / f"km-{src.stem}.json")] + opts) == 0
+    assert ((tmp_path / "km-old.json").read_bytes()
+            == (tmp_path / "km-series.json").read_bytes())
+
+
+@pytest.mark.parametrize("stage", ["km", "markov"])
+@pytest.mark.parametrize("text", ['{"values": [0.9, 0.91', '{"dt": 1.0}', "[1, 2]"],
+                         ids=["truncated", "no-values", "not-object"])
+def test_malformed_series_is_data_error(tmp_path, capsys, stage, text):
+    path = tmp_path / "series.json"
+    path.write_text(text)
+    output = tmp_path / "out.json"
+    rc = main([stage, "--series", str(path), "--output", str(output)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {path}: " in err
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("stage", ["km", "markov", "summary"])
+def test_malformed_fit_row_is_data_error(tmp_path, capsys, stage):
+    out, _ = _simulate_market_files(tmp_path, windows=12, companies=30)
+    fits = tmp_path / "fits.jsonl"
+    assert main(["fit", "--input", str(out), "--output", str(fits),
+                 "--models", "inverse-gamma", "--jobs", "1"]) == 0
+    good = fits.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(good[:2] + ['{"window_start": 0,'] + good[2:]) + "\n")
+    capsys.readouterr()
+    output = tmp_path / "out.json"
+    rc = main([stage, "--input", str(bad), "--output", str(output)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {bad} line 3: JSONDecodeError: " in err
+    assert "Traceback" not in err
+    assert not output.exists()
 
 
 def test_km_underpopulated_is_data_error(tmp_path):
@@ -453,6 +519,9 @@ def test_fit_pool_is_capped(monkeypatch):
     ["pipeline", "--tau-max", "0"],
     ["summary", "--hist-bins", "0"],
     ["ingest", "--window-len", "0"],
+    ["ingest", "--min-companies", "0"],
+    ["ingest", "--min-companies", "-1"],
+    ["pipeline", "--min-companies", "0"],
     ["simulate", "market", "--companies", "0"],
     ["simulate", "market", "--windows", "0"],
     ["simulate", "langevin", "--steps", "0"],

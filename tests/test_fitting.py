@@ -315,14 +315,17 @@ def test_fit_window_model_subset():
     assert list(results) == [INV_GAMMA]
 
 
-def _mk_result(kind, rel_phi, rel_theta=0.01, converged=True):
-    from volgram.fitting import FitResult
-    return FitResult(ModelParams(kind, 1.0, 1.0), rel_phi, rel_theta,
-                     1e-4, converged, 5)
+def _mk_row(rel_phi, rel_theta=0.01, converged=True):
+    """A fits.jsonl row with one inverse-gamma entry."""
+    return {"window_start": 0.0, "window_len": 600.0, "n_companies": 2000,
+            "models": {INV_GAMMA.value: {
+                "phi": 1.0, "theta": 1.0, "rel_err_phi": rel_phi,
+                "rel_err_theta": rel_theta, "rss": 1e-4,
+                "converged": converged, "iterations": 5}}}
 
 
 def test_error_summary_singleton():
-    rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.02)}]
+    rows = [_mk_row(0.02)]
     summary = error_summary(rows)
     stats = summary["models"][INV_GAMMA.value]
     assert stats["avg_rel_err_phi"] == pytest.approx(0.02)
@@ -331,16 +334,15 @@ def test_error_summary_singleton():
 
 
 def test_error_summary_population_std():
-    rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.01)},
-            {INV_GAMMA: _mk_result(INV_GAMMA, 0.03)}]
+    rows = [_mk_row(0.01), _mk_row(0.03)]
     stats = error_summary(rows)["models"][INV_GAMMA.value]
     assert stats["avg_rel_err_phi"] == pytest.approx(0.02)
     assert stats["std_rel_err_phi"] == pytest.approx(0.01)
 
 
 def test_error_summary_excludes_failures_and_counts():
-    rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.01)},
-            {INV_GAMMA: _mk_result(INV_GAMMA, 0.5, converged=False)}]
+    # a failed fit's errors are null in fits.jsonl and are never read
+    rows = [_mk_row(0.01), _mk_row(None, None, converged=False)]
     summary = error_summary(rows)
     stats = summary["models"][INV_GAMMA.value]
     assert stats["n_converged"] == 1
@@ -349,14 +351,13 @@ def test_error_summary_excludes_failures_and_counts():
 
 
 def test_error_summary_no_converged_fits():
-    rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.5, converged=False)}]
+    rows = [_mk_row(0.5, converged=False)]
     with pytest.raises(NoConvergedFits):
         error_summary(rows)
 
 
 def test_error_summary_histogram_shape():
-    rows = [{INV_GAMMA: _mk_result(INV_GAMMA, 0.01 * (i + 1))}
-            for i in range(10)]
+    rows = [_mk_row(0.01 * (i + 1)) for i in range(10)]
     hist = error_summary(rows, hist_bins=16)["models"][INV_GAMMA.value]["hist_phi"]
     assert len(hist["edges"]) == 17
     assert sum(hist["counts"]) == 10

@@ -329,6 +329,15 @@ def test_min_companies_filter_counted():
         assert "below minimum: 1" in str(err)
 
 
+def test_min_companies_below_one_rejected():
+    # below one, a window of zero-volume quotes would pass the size
+    # filter with no samples to normalize
+    records = _records_one_window([(1.0, 0.0), (2.0, 0.0)])
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="min_companies"):
+            build_windows(records, min_companies=bad)
+
+
 def test_empty_input():
     with pytest.raises(EmptyInput):
         build_windows([])
