@@ -59,6 +59,18 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(strict_dumps(payload) + "\n")
 
 
+def _fit_row_problem(row) -> str | None:
+    """Why a JSON value read from a fits JSONL line is not a fit row."""
+    if not isinstance(row, dict):
+        return "not a JSON object"
+    if not isinstance(row.get("models"), dict):
+        return 'no "models" object'
+    start = row.get("window_start")
+    if isinstance(start, bool) or not isinstance(start, (int, float)):
+        return f"window_start {start!r} is not a number"
+    return None
+
+
 def _read_fit_rows(path: Path) -> list[dict]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -66,10 +78,14 @@ def _read_fit_rows(path: Path) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except ValueError as err:
                 raise DataError(f"{path} line {lineno}: "
                                 f"{type(err).__name__}: {err}") from None
+            problem = _fit_row_problem(row)
+            if problem:
+                raise DataError(f"{path} line {lineno}: {problem}")
+            rows.append(row)
     if not rows:
         raise DataError(f"no fit rows in {path}")
     return rows
@@ -139,17 +155,29 @@ def _parse_column_map(spec: str) -> dict[str, str]:
 
 # -- fit stage -------------------------------------------------------------
 
-def _fit_one(args) -> dict:
+def _fit_one(args) -> tuple[dict, str | None]:
+    """The fit row of one window, and the data error that left it unfitted.
+
+    A window that cannot be fitted at all (too few samples) gets a row in
+    which every model failed."""
     window, kinds = args
-    results = fitting.fit_window_all_models(window.samples, kinds=kinds)
-    models = {kind.value: {"phi": fr.params.phi, "theta": fr.params.theta,
-                           **{key: getattr(fr, key) for key in _FIT_FIELDS}}
-              for kind, fr in results.items()}
+    try:
+        results = fitting.fit_window_all_models(window.samples, kinds=kinds)
+    except DataError as err:
+        failed = {**dict.fromkeys(("phi", "theta", *_FIT_FIELDS)),
+                  "converged": False, "iterations": 0}
+        models = {kind.value: failed for kind in kinds}
+        problem = f"{type(err).__name__}: {err}"
+    else:
+        models = {kind.value: {"phi": fr.params.phi, "theta": fr.params.theta,
+                               **{key: getattr(fr, key) for key in _FIT_FIELDS}}
+                  for kind, fr in results.items()}
+        problem = None
     return {"format_version": FORMAT_VERSION,
             "window_start": window.window_start,
             "window_len": window.window_len,
             "n_companies": window.n_companies,
-            "models": models}
+            "models": models}, problem
 
 
 def _pool_size(jobs: int, n_windows: int) -> int:
@@ -167,9 +195,15 @@ def run_fit(windows: list[market_data.SnapshotWindow], output_path: Path,
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_fit_one, tasks, chunksize=_FIT_CHUNK))
+            fitted = list(pool.map(_fit_one, tasks, chunksize=_FIT_CHUNK))
     else:
-        rows = [_fit_one(t) for t in tasks]
+        fitted = [_fit_one(t) for t in tasks]
+    rows = []
+    for row, problem in fitted:
+        if problem is not None:
+            log.warning("fit: window_start %r not fitted: %s",
+                        row["window_start"], problem)
+        rows.append(row)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     with open(output_path, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -369,9 +403,9 @@ def emit_plotdata(outdir: Path,
 def _ingest(input_path: Path, output_path: Path, window_len: float,
             session_filter: bool, min_companies: int,
             column_map: dict[str, str] | None) -> list[market_data.SnapshotWindow]:
-    parsed = market_data.parse_quotes(input_path, column_map)
+    parsed = market_data.parse_quotes(input_path, column_map, window_len)
     log.info("ingest: %d records, %d malformed rows",
-             len(parsed.records), parsed.n_malformed)
+             parsed.n_records, parsed.n_malformed)
     built = market_data.build_windows(
         parsed.records, window_len=window_len,
         session_filter=session_filter, min_companies=min_companies)

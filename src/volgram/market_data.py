@@ -5,7 +5,9 @@ last trade price and interval volume.  Rows are grouped into fixed-width
 windows on the UTC epoch grid; within a window each company contributes
 its last quote, the volume-price s = p * V is formed, zero-volume
 entries are dropped, and the remaining values are normalized by their
-cross-sectional mean.
+cross-sectional mean.  Parsing keeps only the last quote of each window
+and company as it reads, so memory grows with windows times companies,
+not with rows.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timezone
-from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -55,7 +56,8 @@ class SnapshotWindow:
 
 @dataclass(frozen=True)
 class ParseResult:
-    records: list[QuoteRecord]
+    records: list[QuoteRecord]    # the last quote of each window and symbol
+    n_records: int                # valid rows read
     n_malformed: int
 
 
@@ -81,14 +83,41 @@ def _parse_timestamp(raw: str) -> float:
     return dt.timestamp()
 
 
-def parse_quotes(source, column_map: dict[str, str] | None = None) -> ParseResult:
-    """Read quote records from a CSV source.
+def _keep_last(records: Iterable[QuoteRecord], window_len: float
+               ) -> dict[float, dict[str, QuoteRecord]]:
+    """The last record of each symbol in each window, keyed by window start.
+
+    A record replaces the kept one unless its timestamp is earlier, so of
+    equal timestamps the later record wins, as with a stable sort by
+    timestamp followed by overwriting.
+    """
+    if window_len <= 0:
+        raise ValueError("window_len must be positive")
+    kept: dict[float, dict[str, QuoteRecord]] = {}
+    for rec in records:
+        start = math.floor(rec.timestamp / window_len) * window_len
+        quotes = kept.get(start)
+        if quotes is None:
+            quotes = kept[start] = {}
+        old = quotes.get(rec.symbol)
+        if old is None or rec.timestamp >= old.timestamp:
+            quotes[rec.symbol] = rec
+    return kept
+
+
+def parse_quotes(source, column_map: dict[str, str] | None = None,
+                 window_len: float = 600.0) -> ParseResult:
+    """Read quote records from a CSV source in one pass.
 
     ``source`` may be a filesystem path (str or Path), a byte string of
     CSV content, or an open text stream.  Malformed rows (bad timestamp,
     non-positive price, negative volume, missing cells) are counted, not
     fatal, unless they exceed half of the data rows.  Blank lines are
-    skipped and not counted.
+    skipped and not counted.  Of the valid rows only the last quote of
+    each symbol in each window of ``window_len`` seconds is kept (see
+    ``build_windows``), window by window in the order in which each
+    window, and each symbol within it, first appears; ``n_records``
+    counts all valid rows.
     """
     close_after = False
     if isinstance(source, (str, Path)):
@@ -110,30 +139,36 @@ def parse_quotes(source, column_map: dict[str, str] | None = None) -> ParseResul
         # a repeated header name reads its last column
         column = {name: i for i, name in enumerate(header)}
         i_ts, i_sym, i_price, i_vol = (column[mapping[k]] for k in REQUIRED_FIELDS)
-        records: list[QuoteRecord] = []
         n_malformed = 0
         n_rows = 0
-        for row in reader:
-            if not row:             # a blank line is not a data row
-                continue
-            n_rows += 1
-            try:
-                ts = _parse_timestamp(row[i_ts])
-                symbol = row[i_sym].strip()
-                price = float(row[i_price])
-                volume = float(row[i_vol])
-            except (ValueError, IndexError):
-                n_malformed += 1
-                continue
-            if not symbol or not math.isfinite(ts) or not math.isfinite(price) \
-                    or not math.isfinite(volume) or price <= 0.0 or volume < 0.0:
-                n_malformed += 1
-                continue
-            records.append(QuoteRecord(ts, symbol, price, volume))
+
+        def valid_records():
+            nonlocal n_malformed, n_rows
+            for row in reader:
+                if not row:         # a blank line is not a data row
+                    continue
+                n_rows += 1
+                try:
+                    ts = _parse_timestamp(row[i_ts])
+                    symbol = row[i_sym].strip()
+                    price = float(row[i_price])
+                    volume = float(row[i_vol])
+                except (ValueError, IndexError):
+                    n_malformed += 1
+                    continue
+                if not symbol or not math.isfinite(ts) or not math.isfinite(price) \
+                        or not math.isfinite(volume) or price <= 0.0 or volume < 0.0:
+                    n_malformed += 1
+                    continue
+                yield QuoteRecord(ts, symbol, price, volume)
+
+        kept = _keep_last(valid_records(), window_len)
         if n_rows > 0 and n_malformed > 0.5 * n_rows:
             raise TooManyMalformed(
                 f"{n_malformed} of {n_rows} rows malformed")
-        return ParseResult(records=records, n_malformed=n_malformed)
+        return ParseResult(
+            records=[rec for quotes in kept.values() for rec in quotes.values()],
+            n_records=n_rows - n_malformed, n_malformed=n_malformed)
     finally:
         if close_after:
             fh.close()
@@ -147,28 +182,25 @@ def _in_session(start: float, window_len: float, tz: ZoneInfo) -> bool:
     return begin.time() >= SESSION_OPEN and end.time() <= SESSION_CLOSE
 
 
-def build_windows(records: list[QuoteRecord], window_len: float = 600.0,
+def build_windows(records: Iterable[QuoteRecord], window_len: float = 600.0,
                   session_filter: bool = True,
                   min_companies: int = 50) -> WindowBuildResult:
     """Group records into fixed windows of normalized volume-prices.
 
-    Per window and symbol only the last quote counts; zero-volume entries
-    are dropped before normalization; windows outside the trading session
-    or with too few companies are excluded and counted.
+    Per window and symbol only the last quote counts (of equal
+    timestamps, the later record); each window's samples are in symbol
+    order, so the windows do not depend on the order of the records.
+    Zero-volume entries are dropped before normalization; windows outside
+    the trading session or with too few companies are excluded and
+    counted.  Records from ``parse_quotes`` must come from the same
+    ``window_len``.
     """
-    if not records:
-        raise EmptyInput("no quote records")
-    if window_len <= 0:
-        raise ValueError("window_len must be positive")
     if min_companies < 1:
         raise ValueError("min_companies must be at least 1")
-    ordered = sorted(records, key=itemgetter(0))
+    per_window = _keep_last(records, window_len)
+    if not per_window:
+        raise EmptyInput("no quote records")
     tz = ZoneInfo(SESSION_TZ)
-
-    per_window: dict[float, dict[str, QuoteRecord]] = {}
-    for rec in ordered:
-        start = math.floor(rec.timestamp / window_len) * window_len
-        per_window.setdefault(start, {})[rec.symbol] = rec
 
     windows: list[SnapshotWindow] = []
     n_session = 0
@@ -179,7 +211,7 @@ def build_windows(records: list[QuoteRecord], window_len: float = 600.0,
             n_session += 1
             continue
         quotes = per_window[start]
-        s = np.array([q.last_price * q.volume for q in quotes.values()])
+        s = np.array([q.last_price * q.volume for _, q in sorted(quotes.items())])
         nonzero = s > 0.0
         n_zero_vol += int(s.size - nonzero.sum())
         s = s[nonzero]

@@ -17,13 +17,14 @@ from volgram.market_data import SnapshotWindow, write_windows_jsonl
 NY = ZoneInfo("America/New_York")
 
 
-def _quotes_csv(path: Path, n_symbols=60, n_windows=4):
+def _quotes_csv(path: Path, companies=(60,) * 4):
+    """One 10-minute window from 10:00 per entry, with that many companies."""
     start = datetime(2011, 3, 16, 10, 0, tzinfo=NY).timestamp()
     rng = np.random.default_rng(123)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "symbol", "last_price", "volume"])
-        for w in range(n_windows):
+        for w, n_symbols in enumerate(companies):
             for i in range(n_symbols):
                 ts = start + 600 * w + rng.integers(0, 600)
                 price = float(rng.uniform(5, 50))
@@ -321,6 +322,63 @@ def test_malformed_fit_row_is_data_error(tmp_path, capsys, stage):
     assert not output.exists()
 
 
+@pytest.mark.parametrize("stage", ["summary", "km", "markov"])
+@pytest.mark.parametrize("line", ['{"window_start": 0}', '[1, 2]',
+                                  '{"window_start": "0", "models": {}}',
+                                  '{"window_start": true, "models": {}}'])
+def test_json_line_that_is_not_a_fit_row_is_data_error(tmp_path, capsys,
+                                                      stage, line):
+    fit = {"phi": 2.0, "theta": 1.0, "rel_err_phi": 0.1,
+           "rel_err_theta": 0.1, "rss": 0.01, "converged": True,
+           "iterations": 5}
+    good = json.dumps({"window_start": 0.0, "window_len": 600.0,
+                       "n_companies": 12, "models": {"inverse-gamma": fit}})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(good + "\n" + line + "\n")
+    output = tmp_path / "out.json"
+    rc = main([stage, "--input", str(bad), "--output", str(output)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {bad} line 2: " in err
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_window_too_small_to_fit_is_a_failed_row(tmp_path, caplog,
+                                                 monkeypatch, jobs):
+    # one window per chunk, so two jobs start a pool of two workers
+    monkeypatch.setattr("volgram.cli._FIT_CHUNK", 1)
+    csv_path = tmp_path / "quotes.csv"
+    _quotes_csv(csv_path, companies=(60, 5, 60))
+    windows = tmp_path / "windows.jsonl"
+    assert main(["ingest", "--input", str(csv_path), "--output", str(windows),
+                 "--min-companies", "5"]) == 0
+    fits = tmp_path / "fits.jsonl"
+    caplog.set_level(logging.INFO, logger="volgram")
+    rc = main(["fit", "--input", str(windows), "--output", str(fits),
+               "--models", "inverse-gamma,log-normal", "--jobs", jobs])
+    assert rc == 0
+    rows = [_strict_json(line) for line in fits.read_text().splitlines()]
+    assert [r["n_companies"] for r in rows] == [60, 5, 60]
+    small = rows[1]["models"]
+    assert list(small) == ["inverse-gamma", "log-normal"]
+    for entry in small.values():
+        assert entry == {"phi": None, "theta": None, "rel_err_phi": None,
+                         "rel_err_theta": None, "rss": None,
+                         "converged": False, "iterations": 0}
+    assert all(m["converged"] for r in (rows[0], rows[2])
+               for m in r["models"].values())
+    start = rows[1]["window_start"]
+    (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert warning.getMessage() == (
+        f"fit: window_start {start!r} not fitted: "
+        "TooFewSamples: need at least 10 samples, got 5")
+    assert "fit: 3 windows, 1 with a non-converged model" in caplog.messages
+    assert main(["summary", "--input", str(fits),
+                 "--output", str(tmp_path / "summary.json")]) == 0
+
+
 def test_km_underpopulated_is_data_error(tmp_path):
     out, _ = _simulate_market_files(tmp_path, windows=12, companies=30)
     fits = tmp_path / "fits.jsonl"
@@ -382,7 +440,7 @@ def test_pipeline_matches_individual_stages(tmp_path):
 
 def test_pipeline_from_csv_fits_the_windows_it_wrote(tmp_path):
     csv_path = tmp_path / "quotes.csv"
-    _quotes_csv(csv_path, n_windows=30)
+    _quotes_csv(csv_path, companies=(60,) * 30)
     pipe_dir = tmp_path / "pipe"
     rc = main(["pipeline", "--input", str(csv_path), "--outdir", str(pipe_dir),
                "--models", "inverse-gamma", "--n-bins", "2", "--tau-max", "3",

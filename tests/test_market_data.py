@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -52,12 +53,31 @@ def test_parse_counts_negative_volume_as_malformed():
     csv = HEADER + "1300000000,GE,17.5,-3\n" + "1300000001,GE,17.5,10\n"
     result = parse_quotes(csv.encode())
     assert result.n_malformed == 1
+    assert result.n_records == 1
     assert len(result.records) == 1
+
+
+def test_parse_keeps_the_last_quote_of_each_window_and_symbol():
+    # GE quotes twice in [1299999600, 1300000200), the last at an equal
+    # timestamp, and once in the next window
+    csv = HEADER + ("1300000100,GE,3.0,1\n1300000000,GE,1.0,1\n"
+                    "1300000100,GE,2.0,1\n1300000300,GE,4.0,1\n"
+                    "1300000050,IBM,5.0,1\n")
+    result = parse_quotes(csv.encode())
+    assert (result.n_records, result.n_malformed) == (5, 0)
+    assert [(r.symbol, r.last_price) for r in result.records] == [
+        ("GE", 2.0), ("IBM", 5.0), ("GE", 4.0)]
+    # a 10-second grid puts every distinct timestamp in its own window
+    result = parse_quotes(csv.encode(), window_len=10.0)
+    assert [r.last_price for r in result.records] == [2.0, 1.0, 4.0, 5.0]
+    with pytest.raises(ValueError, match="window_len"):
+        parse_quotes(csv.encode(), window_len=0.0)
 
 
 def test_parse_header_only():
     result = parse_quotes(HEADER.encode())
     assert result.records == []
+    assert result.n_records == 0
     assert result.n_malformed == 0
 
 
@@ -149,14 +169,28 @@ def _dictreader_parse(text, column_map=None):
     return records, n_malformed
 
 
+def _sort_and_overwrite(records, window_len=600.0):
+    """The last record of each (window start, symbol): a stable sort on the
+    timestamp, then each record overwrites the one kept for its key."""
+    kept = {}
+    for rec in sorted(records, key=lambda r: r[0]):
+        kept[(math.floor(rec[0] / window_len) * window_len, rec[1])] = rec
+    return kept
+
+
 def _outcome(parse, *args):
+    """(kept records sorted, valid rows, malformed rows) or the exception
+    type; a tuple result is all valid records, reduced by the oracle."""
     try:
         result = parse(*args)
     except Exception as err:  # the exception type is part of the outcome
         return type(err)
     if isinstance(result, tuple):
-        return result
-    return result.records, result.n_malformed
+        records, n_malformed = result
+        kept = list(_sort_and_overwrite(records).values())
+        return sorted(kept), len(records), n_malformed
+    return (sorted(tuple(r) for r in result.records), result.n_records,
+            result.n_malformed)
 
 
 def _benchmark_malformed_rows():
@@ -398,3 +432,115 @@ def test_window_format_version_checked():
     d["format_version"] = 99
     with pytest.raises(ValueError):
         window_from_dict(d)
+
+
+# -- one-pass ingest against sorting every record --------------------------
+
+DAY_OPEN = _epoch(2011, 3, 16, 9, 30)
+DAY_CLOSE = _epoch(2011, 3, 16, 16, 0)
+
+
+def _oracle_windows(records, window_len=600.0):
+    """Windows from all records by sort-and-overwrite: (start, n_companies,
+    samples, mean_s, std_s) per session window, samples in symbol order,
+    and the number of off-session windows."""
+    per_window = {}
+    for (start, symbol), rec in _sort_and_overwrite(records, window_len).items():
+        per_window.setdefault(start, {})[symbol] = rec[2] * rec[3]
+    windows, n_off = [], 0
+    for start in sorted(per_window):
+        if not (DAY_OPEN <= start and start + window_len <= DAY_CLOSE):
+            n_off += 1
+            continue
+        s = np.array([v for _, v in sorted(per_window[start].items())])
+        s = s[s > 0.0]
+        if s.size:
+            mean_s = float(s.mean())
+            windows.append((start, s.size, (s / mean_s).tolist(), mean_s,
+                            float(s.std())))
+    return windows, n_off
+
+
+def _windows_outcome(build, *args, **kwargs):
+    try:
+        built = build(*args, **kwargs)
+    except Exception as err:  # the exception type is part of the outcome
+        return type(err)
+    return ([(w.window_start, w.n_companies, w.samples.tolist(), w.mean_s,
+              w.std_s) for w in built.windows], built.n_session_filtered)
+
+
+def _csv_bytes(rows):
+    return (HEADER + "".join(f"{ts!r},{sym},{price!r},{vol!r}\n"
+                             for ts, sym, price, vol in rows)).encode()
+
+
+@given(st.lists(st.tuples(
+    # 9:00 to 16:40 in steps of 100 s: equal timestamps, 45 windows, of
+    # which the first three and the last four are off-session
+    st.integers(0, 275).map(lambda k: DAY_OPEN - 1800.0 + 100.0 * k),
+    st.sampled_from(["AA", "B", "GE", "IBM", "XOM"]),
+    st.sampled_from([0.5, 1.0, 17.25, 3e2]),
+    st.sampled_from([0.0, 1.0, 2.5, 7e3]))))
+@settings(max_examples=200, deadline=None)
+def test_parse_then_build_matches_sort_and_overwrite(rows):
+    parsed = parse_quotes(_csv_bytes(rows))
+    assert parsed.n_records == len(rows)
+    got = _windows_outcome(build_windows, parsed.records, min_companies=1)
+    expect = _oracle_windows(rows)
+    if not rows:
+        assert got is EmptyInput
+    elif not expect[0]:
+        assert got is AllWindowsFiltered
+    else:
+        assert got == expect
+    # any iterable of records gives the same windows, and building again
+    # from the kept records changes nothing
+    records = (QuoteRecord(*row) for row in rows)
+    assert _windows_outcome(build_windows, records, min_companies=1) == got
+    assert parse_quotes(_csv_bytes(parsed.records)).records == parsed.records
+
+
+def _quote_rows(n_rows, n_windows, n_symbols, seed):
+    """Quotes at distinct timestamps from 10:00, in time order."""
+    rng = np.random.default_rng(seed)
+    span = 600.0 * n_windows
+    ts = _epoch(2011, 3, 16, 10, 0) + np.sort(rng.choice(
+        int(span * 1000), size=n_rows, replace=False)) / 1000.0
+    symbols = rng.integers(0, n_symbols, size=n_rows)
+    prices = rng.uniform(5.0, 50.0, size=n_rows)
+    volumes = rng.integers(1, 10_000, size=n_rows).astype(float)
+    return [(float(t), f"S{k:03d}", float(p), float(v))
+            for t, k, p, v in zip(ts, symbols, prices, volumes)]
+
+
+def test_row_order_does_not_move_the_windows():
+    rows = _quote_rows(3000, 3, 40, seed=5)
+    outputs = []
+    for order in (rows, list(reversed(rows)),
+                  [rows[i] for i in np.random.default_rng(6).permutation(len(rows))]):
+        built = build_windows(parse_quotes(_csv_bytes(order)).records,
+                              min_companies=1)
+        buf = io.StringIO()
+        write_windows_jsonl(built.windows, buf)
+        outputs.append(buf.getvalue())
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_ingest_memory_does_not_grow_with_rows(tmp_path):
+    # 50k rows over 2 windows x 20 symbols keep 40 records; sorting all
+    # rows held about 11 MB
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(_csv_bytes(_quote_rows(50_000, 2, 20, seed=7)))
+    tracemalloc.start()
+    try:
+        parsed = parse_quotes(path)
+        built = build_windows(parsed.records, min_companies=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.n_records == 50_000
+    assert [w.n_companies for w in built.windows] == [20, 20]
+    assert peak < 1_000_000

@@ -27,13 +27,17 @@ parity:
   relative change per key (list entries share their key), a key whose
   number of values changed, and any other value (the Markov verdict)
   that differs;
+* each window of the ``windows.jsonl`` files: the window starts and
+  ``n_companies`` must be equal, and the sorted samples, ``mean_s`` and
+  ``std_s`` equal within 1e-12 relative (the order of the samples in a
+  window and the summation order of its moments may change);
 * for each Markov result (``markov.json``, and the ``markov`` entry of a
   pipeline's ``km.json``), its distance/threshold ratio, old -> new.
   This only reports; it does not enter the gate.
 
 It exits 1 if a converged fit moved by more than 1e-3 SE, a converged
-flag changed, a window or a key's value count changed, or a
-non-numeric value differs, and 0 otherwise.
+flag changed, a window or a key's value count changed, a non-numeric
+value differs, or a window breaches its tolerance, and 0 otherwise.
 
 Steps (all other options default):
 
@@ -114,7 +118,9 @@ OUTPUTS = (
 
 FIT_FILES = [rel for rel in OUTPUTS if rel.endswith("fits.jsonl")]
 NUMBER_FILES = [rel for rel in OUTPUTS if rel.endswith(("km.json", "markov.json"))]
+WINDOW_FILES = [rel for rel in OUTPUTS if rel.endswith("windows.jsonl")]
 SE_GATE = 1e-3
+WINDOW_RTOL = 1e-12
 
 
 def _fit_rows(path: Path) -> dict[float, dict]:
@@ -176,6 +182,43 @@ def _compare_fits(rel: str, old_dir: Path, new_dir: Path) -> int:
     return breaches
 
 
+def _rel_diff(old: list[float], new: list[float]) -> float:
+    """Largest |new - old| / |old| over paired values (inf if lengths differ)."""
+    if len(old) != len(new):
+        return math.inf
+    return max((abs(b - a) / abs(a) if a != 0 else (0.0 if a == b else math.inf)
+                for a, b in zip(old, new)), default=0.0)
+
+
+def _compare_windows(rel: str, old_dir: Path, new_dir: Path) -> int:
+    """Print the moves of one windows file; return how many breach the gate."""
+    sides = []
+    for root in (old_dir, new_dir):
+        with open(root / rel, encoding="utf-8") as fh:
+            sides.append([json.loads(line) for line in fh if line.strip()])
+    old, new = sides
+    if [w["window_start"] for w in old] != [w["window_start"] for w in new]:
+        print(f"{rel}: window starts differ ({len(old)} -> {len(new)} windows)")
+        return 1
+    moves = {"samples": 0.0, "mean_s": 0.0, "std_s": 0.0}
+    flagged = []
+    for o, n in zip(old, new):
+        row = {"samples": _rel_diff(sorted(o["samples"]), sorted(n["samples"])),
+               "mean_s": _rel_diff([o["mean_s"]], [n["mean_s"]]),
+               "std_s": _rel_diff([o["std_s"]], [n["std_s"]])}
+        for key, move in row.items():
+            moves[key] = max(moves[key], move)
+        if o["n_companies"] != n["n_companies"] or max(row.values()) > WINDOW_RTOL:
+            flagged.append(f"  window {o['window_start']!r}: n_companies "
+                           f"{o['n_companies']} -> {n['n_companies']}, "
+                           + ", ".join(f"{k} {v:.3g}" for k, v in row.items()))
+    print(f"{rel}: {len(old)} windows, max relative change "
+          + ", ".join(f"{k} {v:.3g}" for k, v in moves.items()))
+    for line in flagged:
+        print(line)
+    return len(flagged)
+
+
 def _leaves(doc, key: str = ""):
     """(key path, value) of every scalar; list indices do not enter the key."""
     if isinstance(doc, dict):
@@ -233,6 +276,7 @@ def _compare_numbers(rel: str, old_dir: Path, new_dir: Path) -> int:
 def compare(old_dir: Path, new_dir: Path) -> int:
     breaches = sum(_compare_fits(rel, old_dir, new_dir) for rel in FIT_FILES)
     breaches += sum(_compare_numbers(rel, old_dir, new_dir) for rel in NUMBER_FILES)
+    breaches += sum(_compare_windows(rel, old_dir, new_dir) for rel in WINDOW_FILES)
     print(f"{breaches} breaches of the value-parity gate")
     return 1 if breaches else 0
 
