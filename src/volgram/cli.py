@@ -31,7 +31,7 @@ import numpy as np
 from . import (distributions as dist, fitting, kramers_moyal as km_mod,
                langevin, market_data)
 from .distributions import ALL_KINDS, ModelKind
-from .errors import DataError, NumericalError, VolgramError
+from .errors import DataError, NumericalError, VolgramError, reading
 from .market_data import FORMAT_VERSION, strict_dumps
 
 log = logging.getLogger("volgram")
@@ -73,7 +73,7 @@ def _fit_row_problem(row) -> str | None:
 
 def _read_fit_rows(path: Path) -> list[dict]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -180,24 +180,34 @@ def _fit_one(args) -> tuple[dict, str | None]:
             "models": models}, problem
 
 
-def _pool_size(jobs: int, n_windows: int) -> int:
-    """Fit workers: no more than jobs (0: any number), than the CPUs this
-    process may run on, or than chunks."""
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Workers: no more than jobs (0: any number), than the CPUs this
+    process may run on, or than tasks."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(jobs or cpus, cpus, math.ceil(n_windows / _FIT_CHUNK))
+    return min(jobs or cpus, cpus, n_tasks)
+
+
+def _worker_map(jobs: int, chunksize: int = 1):
+    """A ``map(func, tasks)`` that yields in task order and runs chunks of
+    ``chunksize`` tasks on ``_pool_size`` worker processes; with one
+    worker it runs them in this process."""
+    def pooled(func, tasks):
+        tasks = list(tasks)
+        workers = _pool_size(jobs, math.ceil(len(tasks) / chunksize))
+        if workers <= 1:
+            yield from map(func, tasks)
+            return
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(func, tasks, chunksize=chunksize)
+    return pooled
 
 
 def run_fit(windows: list[market_data.SnapshotWindow], output_path: Path,
             kinds: tuple[ModelKind, ...], jobs: int) -> list[dict]:
     """Fit every window; write and return the fit rows."""
-    tasks = [(w, kinds) for w in windows]
-    workers = _pool_size(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fitted = list(pool.map(_fit_one, tasks, chunksize=_FIT_CHUNK))
-    else:
-        fitted = [_fit_one(t) for t in tasks]
+    fitted = _worker_map(jobs, _FIT_CHUNK)(_fit_one,
+                                           [(w, kinds) for w in windows])
     rows = []
     for row, problem in fitted:
         if problem is not None:
@@ -306,7 +316,8 @@ def emit_plotdata(outdir: Path,
 
     Files: cdf-fit.csv, param-series.csv, relerr-hist.csv,
     moments-vs-tau.csv, drift-diffusion.csv.  Empty reports produce
-    header-only files.
+    header-only files.  cdf-fit.csv draws the first window whose fit row
+    (``fit_rows`` in window order) has a converged model.
     """
     written = []
     names = [k.value for k in ALL_KINDS]
@@ -315,10 +326,12 @@ def emit_plotdata(outdir: Path,
         path = outdir / "cdf-fit.csv"
         header = ["s", "F_empirical"] + [f"F_{n}" for n in names]
         rows = []
-        if windows and fit_rows:
-            window = windows[0]
+        drawn = next(((w, row["models"]) for w, row in zip(windows, fit_rows)
+                      if any(m["converged"] for m in row["models"].values())),
+                     None)
+        if drawn:
+            window, models = drawn
             ecdf = fitting.empirical_cdf(window.samples)
-            models = fit_rows[0]["models"]
             cols = []
             for name in names:
                 entry = models.get(name)
@@ -402,8 +415,10 @@ def emit_plotdata(outdir: Path,
 
 def _ingest(input_path: Path, output_path: Path, window_len: float,
             session_filter: bool, min_companies: int,
-            column_map: dict[str, str] | None) -> list[market_data.SnapshotWindow]:
-    parsed = market_data.parse_quotes(input_path, column_map, window_len)
+            column_map: dict[str, str] | None,
+            jobs: int) -> list[market_data.SnapshotWindow]:
+    parsed = market_data.parse_quotes(input_path, column_map, window_len,
+                                      _worker_map(jobs))
     log.info("ingest: %d records, %d malformed rows",
              parsed.n_records, parsed.n_malformed)
     built = market_data.build_windows(
@@ -441,7 +456,8 @@ def _markov(series: km_mod.ParamSeries, n_bins: int, lag: int,
 
 def _cmd_ingest(args) -> int:
     _ingest(Path(args.input), Path(args.output), args.window_len,
-            args.session_filter, args.min_companies, args.column_map)
+            args.session_filter, args.min_companies, args.column_map,
+            args.jobs)
     return 0
 
 
@@ -506,14 +522,14 @@ def _cmd_pipeline(args) -> int:
 
     # a windows JSONL opens with "{" on its first non-blank line; a file
     # with none is an empty windows file
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8") as fh, reading(args.input):
         first = next((line.strip() for line in fh if line.strip()), "{")
     if first.startswith("{"):
         windows = _read_windows(Path(args.input))
     else:
         windows = _ingest(Path(args.input), outdir / "windows.jsonl",
                           args.window_len, args.session_filter,
-                          args.min_companies, args.column_map)
+                          args.min_companies, args.column_map, args.jobs)
 
     rows = run_fit(windows, outdir / "fits.jsonl", args.models, args.jobs)
     summary = fitting.error_summary(rows, args.hist_bins)
@@ -543,11 +559,14 @@ def _add_ingest_options(p):
                    help="field=column overrides, comma separated")
 
 
+def _add_jobs_option(p):
+    p.add_argument("--jobs", type=_ranged(int, 0), default=0,
+                   help="worker processes (default 0: one per CPU)")
+
+
 def _add_fit_options(p):
     p.add_argument("--models", type=_parse_models, default=ALL_KINDS,
                    help="comma list: gamma,inverse-gamma,log-normal,weibull")
-    p.add_argument("--jobs", type=_ranged(int, 0), default=0,
-                   help="fit worker processes (default 0: one per core)")
 
 
 def _add_model_options(p):
@@ -590,12 +609,14 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     _add_ingest_options(p)
+    _add_jobs_option(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("fit", help="fit model CDFs per window")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     _add_fit_options(p)
+    _add_jobs_option(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("summary", help="error statistics across windows")
@@ -653,6 +674,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outdir", required=True)
     _add_ingest_options(p)
     _add_fit_options(p)
+    _add_jobs_option(p)
     p.add_argument("--hist-bins", type=_COUNT, default=64)
     _add_model_options(p)
     _add_km_options(p)

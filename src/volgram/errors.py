@@ -5,6 +5,9 @@ support the requested computation (CLI exit code 2), ``NumericalError``
 means the computation itself broke down (CLI exit code 3).
 """
 
+import csv
+from contextlib import contextmanager
+
 
 class VolgramError(Exception):
     """Base class for all library errors."""
@@ -30,6 +33,11 @@ class TooManyMalformed(DataError):
 
 class EmptyInput(DataError):
     """No records to process."""
+
+
+class UnreadableInput(DataError):
+    """Input text is not UTF-8, or a CSV cell cannot be read (over the
+    csv field size limit, a NUL byte)."""
 
 
 class MalformedWindow(DataError):
@@ -62,6 +70,16 @@ class MeanBinUnpopulated(DataError):
 
 class InsufficientTauPoints(DataError):
     """Fewer than three lag points in the requested fit range."""
+
+
+@contextmanager
+def reading(source):
+    """Raise a decode or CSV error from inside the block as
+    ``UnreadableInput`` naming ``source``."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise UnreadableInput(f"{source}: {type(err).__name__}: {err}") from None
 
 
 # -- numerical errors ----------------------------------------------------

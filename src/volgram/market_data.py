@@ -25,7 +25,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import (AllWindowsFiltered, EmptyInput, MalformedWindow,
-                     MissingColumn, TooManyMalformed)
+                     MissingColumn, TooManyMalformed, reading)
 
 FORMAT_VERSION = 1
 
@@ -34,6 +34,9 @@ REQUIRED_FIELDS = ("timestamp", "symbol", "last_price", "volume")
 SESSION_TZ = "America/New_York"
 SESSION_OPEN = time(9, 30)
 SESSION_CLOSE = time(16, 0)
+
+_INGEST_CHUNK_BYTES = 4 << 20   # data-row bytes that one ingest task parses
+_TS_CACHE_SIZE = 256            # parsed timestamp texts kept at a time
 
 
 class QuoteRecord(NamedTuple):
@@ -105,8 +108,126 @@ def _keep_last(records: Iterable[QuoteRecord], window_len: float
     return kept
 
 
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of a file, as a readable stream."""
+
+    def __init__(self, path, start: int, end: int):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(memoryview(buf)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _read_header(text) -> tuple[list[str], int]:
+    """The header row of a CSV text stream, and the UTF-8 bytes it spans;
+    the stream is left at the first data row."""
+    n_bytes = 0
+
+    def lines():
+        nonlocal n_bytes
+        while line := text.readline():
+            n_bytes += len(line.encode("utf-8"))
+            yield line
+    return next(csv.reader(lines()), []), n_bytes
+
+
+def _columns(header: list[str], column_map: dict[str, str] | None
+             ) -> tuple[int, int, int, int]:
+    """Indices of the timestamp, symbol, price and volume columns."""
+    mapping = {k: k for k in REQUIRED_FIELDS}
+    if column_map:
+        mapping.update(column_map)
+    missing = [mapping[k] for k in REQUIRED_FIELDS if mapping[k] not in header]
+    if missing:
+        raise MissingColumn(f"missing required columns: {missing}")
+    # a repeated header name reads its last column
+    column = {name: i for i, name in enumerate(header)}
+    return tuple(column[mapping[k]] for k in REQUIRED_FIELDS)
+
+
+def _data_ranges(fh, start: int) -> list[tuple[int, int]]:
+    """Byte ranges of about ``_INGEST_CHUNK_BYTES`` from ``start`` to the
+    end of a binary file, each but the last ending just after a newline.
+
+    A file that holds a double quote is one range: a quoted cell may span
+    lines.
+    """
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
+    block = bytearray(1 << 16)
+    while n := fh.readinto(block):
+        if block.find(b'"', 0, n) >= 0:
+            return [(start, size)]
+    cuts = [start]
+    while cuts[-1] < size:
+        fh.seek(cuts[-1] + _INGEST_CHUNK_BYTES)
+        fh.readline()
+        cuts.append(min(fh.tell(), size))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _parse_rows(reader, columns: tuple[int, int, int, int],
+                window_len: float) -> ParseResult:
+    """The row loop: the last quote of each window and symbol among the
+    data rows of a CSV reader, with the row counts."""
+    i_ts, i_sym, i_price, i_vol = columns
+    n_malformed = 0
+    n_rows = 0
+    seconds: dict[str, float] = {}      # timestamp text -> parsed value
+
+    def valid_records():
+        nonlocal n_malformed, n_rows
+        for row in reader:
+            if not row:         # a blank line is not a data row
+                continue
+            n_rows += 1
+            try:
+                text = row[i_ts]
+                ts = seconds.get(text)
+                if ts is None:
+                    ts = _parse_timestamp(text)
+                    if len(seconds) >= _TS_CACHE_SIZE:
+                        seconds.clear()
+                    seconds[text] = ts
+                symbol = row[i_sym].strip()
+                price = float(row[i_price])
+                volume = float(row[i_vol])
+            except (ValueError, IndexError):
+                n_malformed += 1
+                continue
+            if not symbol or not math.isfinite(ts) or not math.isfinite(price) \
+                    or not math.isfinite(volume) or price <= 0.0 or volume < 0.0:
+                n_malformed += 1
+                continue
+            yield QuoteRecord(ts, symbol, price, volume)
+
+    kept = _keep_last(valid_records(), window_len)
+    return ParseResult(
+        records=[rec for quotes in kept.values() for rec in quotes.values()],
+        n_records=n_rows - n_malformed, n_malformed=n_malformed)
+
+
+def _parse_range(task) -> ParseResult:
+    """``_parse_rows`` over bytes [start, end) of a quotes file."""
+    path, start, end, columns, window_len = task
+    with reading(path), _ByteRange(path, start, end) as raw:
+        text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        return _parse_rows(csv.reader(text), columns, window_len)
+
+
 def parse_quotes(source, column_map: dict[str, str] | None = None,
-                 window_len: float = 600.0) -> ParseResult:
+                 window_len: float = 600.0, map_fn=map) -> ParseResult:
     """Read quote records from a CSV source in one pass.
 
     ``source`` may be a filesystem path (str or Path), a byte string of
@@ -117,61 +238,48 @@ def parse_quotes(source, column_map: dict[str, str] | None = None,
     each symbol in each window of ``window_len`` seconds is kept (see
     ``build_windows``), window by window in the order in which each
     window, and each symbol within it, first appears; ``n_records``
-    counts all valid rows.
+    counts all valid rows.  Text that is not UTF-8, or a cell the csv
+    module cannot read, raises ``UnreadableInput``.
+
+    The data rows of a file are cut into byte ranges of about
+    ``_INGEST_CHUNK_BYTES`` (one range if the file holds a double quote)
+    and ``map_fn(func, tasks)``, which must yield results in task order,
+    parses them; the partial results merge in file order.  A byte string,
+    a stream or a file that cannot seek (a pipe) is one range.
     """
-    close_after = False
     if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8", newline="")
-        close_after = True
-    elif isinstance(source, bytes):
-        fh = io.StringIO(source.decode("utf-8"))
+        with open(source, "rb") as fh, reading(source):
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            if not fh.seekable():       # a pipe is read as a stream
+                return parse_quotes(text, column_map, window_len)
+            header, start = _read_header(text)
+            columns = _columns(header, column_map)
+            parts = map_fn(_parse_range, [
+                (source, a, b, columns, window_len)
+                for a, b in _data_ranges(text.detach(), start)])
     else:
-        fh = source
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        mapping = {k: k for k in REQUIRED_FIELDS}
-        if column_map:
-            mapping.update(column_map)
-        missing = [mapping[k] for k in REQUIRED_FIELDS if mapping[k] not in header]
-        if missing:
-            raise MissingColumn(f"missing required columns: {missing}")
-        # a repeated header name reads its last column
-        column = {name: i for i, name in enumerate(header)}
-        i_ts, i_sym, i_price, i_vol = (column[mapping[k]] for k in REQUIRED_FIELDS)
-        n_malformed = 0
-        n_rows = 0
+        if isinstance(source, bytes):
+            source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
+                                      newline="")
+        with reading(getattr(source, "name", "quotes CSV")):
+            columns = _columns(_read_header(source)[0], column_map)
+            parts = [_parse_rows(csv.reader(source), columns, window_len)]
+    n_records = n_malformed = 0
 
-        def valid_records():
-            nonlocal n_malformed, n_rows
-            for row in reader:
-                if not row:         # a blank line is not a data row
-                    continue
-                n_rows += 1
-                try:
-                    ts = _parse_timestamp(row[i_ts])
-                    symbol = row[i_sym].strip()
-                    price = float(row[i_price])
-                    volume = float(row[i_vol])
-                except (ValueError, IndexError):
-                    n_malformed += 1
-                    continue
-                if not symbol or not math.isfinite(ts) or not math.isfinite(price) \
-                        or not math.isfinite(volume) or price <= 0.0 or volume < 0.0:
-                    n_malformed += 1
-                    continue
-                yield QuoteRecord(ts, symbol, price, volume)
+    def in_file_order():
+        nonlocal n_records, n_malformed
+        for part in parts:
+            n_records += part.n_records
+            n_malformed += part.n_malformed
+            yield from part.records
 
-        kept = _keep_last(valid_records(), window_len)
-        if n_rows > 0 and n_malformed > 0.5 * n_rows:
-            raise TooManyMalformed(
-                f"{n_malformed} of {n_rows} rows malformed")
-        return ParseResult(
-            records=[rec for quotes in kept.values() for rec in quotes.values()],
-            n_records=n_rows - n_malformed, n_malformed=n_malformed)
-    finally:
-        if close_after:
-            fh.close()
+    kept = _keep_last(in_file_order(), window_len)
+    n_rows = n_records + n_malformed
+    if n_rows > 0 and n_malformed > 0.5 * n_rows:
+        raise TooManyMalformed(f"{n_malformed} of {n_rows} rows malformed")
+    return ParseResult(
+        records=[rec for quotes in kept.values() for rec in quotes.values()],
+        n_records=n_records, n_malformed=n_malformed)
 
 
 def _in_session(start: float, window_len: float, tz: ZoneInfo) -> bool:
@@ -291,17 +399,19 @@ def read_windows_jsonl(fh) -> list[SnapshotWindow]:
     """Windows from a JSON-lines stream; blank lines are skipped.
 
     A line that is not a window of this format version raises
-    ``MalformedWindow`` naming the stream and the line number.
+    ``MalformedWindow`` naming the stream and the line number; text that
+    is not UTF-8 raises ``UnreadableInput``.
     """
     out = []
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(window_from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError, AttributeError) as err:
-            source = getattr(fh, "name", "windows JSONL")
-            raise MalformedWindow(
-                f"{source} line {lineno}: {type(err).__name__}: {err}") from None
+    source = getattr(fh, "name", "windows JSONL")
+    with reading(source):
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(window_from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as err:
+                raise MalformedWindow(f"{source} line {lineno}: "
+                                      f"{type(err).__name__}: {err}") from None
     return out

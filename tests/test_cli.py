@@ -11,7 +11,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from volgram.cli import _pool_size, emit_plotdata, main
+from volgram.cli import _pool_size, _worker_map, emit_plotdata, main
 from volgram.market_data import SnapshotWindow, write_windows_jsonl
 
 NY = ZoneInfo("America/New_York")
@@ -209,6 +209,71 @@ def test_ingest_logs_zero_volume_drops(tmp_path, caplog):
         "ingest: 4 records, 0 malformed rows",
         "ingest: wrote 1 windows (0 session-filtered, 0 too small)",
         "ingest: dropped 2 zero-volume quotes"]
+
+
+def test_ingest_jobs_and_ranges_give_identical_windows(tmp_path, caplog,
+                                                      monkeypatch):
+    csv_path = tmp_path / "quotes.csv"
+    _quotes_csv(csv_path, companies=(60, 55, 70))
+    caplog.set_level(logging.INFO, logger="volgram")
+    outputs = {}
+    for chunk, jobs in ((None, "1"), (300, "1"), (300, "2")):
+        if chunk:       # about 8 rows a range, so 2 jobs start 2 workers
+            monkeypatch.setattr("volgram.market_data._INGEST_CHUNK_BYTES", chunk)
+        caplog.clear()
+        out = tmp_path / f"windows-{chunk}-{jobs}.jsonl"
+        assert main(["ingest", "--input", str(csv_path), "--output", str(out),
+                     "--min-companies", "5", "--jobs", jobs]) == 0
+        outputs[chunk, jobs] = (out.read_bytes(), caplog.messages)
+    reference = outputs[None, "1"]
+    assert reference[1][0] == "ingest: 185 records, 0 malformed rows"
+    assert len(reference[0].splitlines()) == 3
+    assert outputs[300, "1"] == reference
+    assert outputs[300, "2"] == reference
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", ["not-utf8", "over-field-limit"])
+def test_unreadable_quotes_is_data_error(tmp_path, capsys, monkeypatch, case,
+                                         jobs):
+    # the bad row is last, in a range of its own when two jobs parse
+    monkeypatch.setattr("volgram.market_data._INGEST_CHUNK_BYTES", 300)
+    csv_path = tmp_path / "quotes.csv"
+    _quotes_csv(csv_path, companies=(60,))
+    with open(csv_path, "ab") as fh:
+        if case == "not-utf8":
+            fh.write(b"1300000000,S\xff\xfe,10.0,100\n")
+        else:
+            fh.write(b"1300000000,S" + b"X" * csv.field_size_limit()
+                     + b",10.0,100\n")
+    for stage, argv in (("ingest", ["--output", str(tmp_path / "w.jsonl")]),
+                        ("pipeline", ["--outdir", str(tmp_path / "pipe")])):
+        rc = main([stage, "--input", str(csv_path), "--jobs", jobs] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        kind = "UnicodeDecodeError" if case == "not-utf8" else "Error: field larger"
+        assert f"data error: {csv_path}: {kind}" in err
+    assert not (tmp_path / "w.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage", ["fit", "pipeline", "summary"])
+def test_unreadable_jsonl_is_data_error(tmp_path, capsys, stage):
+    out, _ = _simulate_market_files(tmp_path, windows=3, companies=20)
+    path = out
+    if stage == "summary":
+        path = tmp_path / "fits.jsonl"
+        assert main(["fit", "--input", str(out), "--output", str(path),
+                     "--models", "inverse-gamma", "--jobs", "1"]) == 0
+    with open(path, "ab") as fh:
+        fh.write(b'{"window_start": \xff}\n')
+    target = {"fit": ["--output", str(tmp_path / "f.jsonl"), "--jobs", "1"],
+              "pipeline": ["--outdir", str(tmp_path / "pipe"), "--jobs", "1"],
+              "summary": ["--output", str(tmp_path / "s.json")]}[stage]
+    rc = main([stage, "--input", str(path)] + target)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {path}: UnicodeDecodeError: " in err
+    assert not (tmp_path / "f.jsonl").exists()
 
 
 def test_fit_model_filter(tmp_path):
@@ -493,6 +558,40 @@ def test_outputs_are_strict_json(tmp_path):
     assert doc["noise_sigma"] > 0.0
 
 
+def test_pipeline_plotdata_skips_a_window_too_small_to_fit(tmp_path):
+    # a first window of 5 companies gets a failed fit row; cdf-fit.csv
+    # draws the first fitted window instead of stopping the pipeline
+    csv_path = tmp_path / "quotes.csv"
+    _quotes_csv(csv_path, companies=(5,) + (60,) * 30)
+    pipe_dir = tmp_path / "pipe"
+    rc = main(["pipeline", "--input", str(csv_path), "--outdir", str(pipe_dir),
+               "--min-companies", "5", "--models", "inverse-gamma",
+               "--n-bins", "2", "--tau-max", "3", "--tau-fit", "1:3",
+               "--min-count", "1", "--markov-bins", "2",
+               "--min-cell-count", "1", "--plotdata", "--jobs", "1"])
+    assert rc == 0
+    rows = [json.loads(line) for line in
+            (pipe_dir / "fits.jsonl").read_text().splitlines()]
+    assert [r["n_companies"] for r in rows[:2]] == [5, 60]
+    assert not rows[0]["models"]["inverse-gamma"]["converged"]
+    with open(pipe_dir / "plotdata" / "cdf-fit.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == 60
+    assert all(0.0 < float(line["F_inverse-gamma"]) < 1.0 for line in table)
+
+
+def test_cdf_fit_plotdata_without_a_converged_fit_is_header_only(tmp_path):
+    samples = np.linspace(0.5, 1.5, 12)
+    window = SnapshotWindow(window_start=0.0, window_len=600.0,
+                            samples=samples, mean_s=1.0,
+                            std_s=float(samples.std()), n_companies=12)
+    row = {"window_start": 0.0, "window_len": 600.0, "n_companies": 12,
+           "models": {"gamma": {"phi": None, "theta": None,
+                                "converged": False}}}
+    emit_plotdata(tmp_path, windows=[window], fit_rows=[row])
+    assert (tmp_path / "cdf-fit.csv").read_text().count("\n") == 1
+
+
 def test_pipeline_plotdata_files(tmp_path):
     out, _ = _simulate_market_files(tmp_path)
     pipe_dir = tmp_path / "pipe"
@@ -550,8 +649,8 @@ def test_fit_pool_is_capped(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     assert _pool_size(64, 10**6) == 4       # by the CPUs
-    assert _pool_size(64, 17) == 2          # by the 16-window chunks
-    assert _pool_size(64, 16) == 1
+    assert _pool_size(64, 2) == 2           # by the tasks
+    assert _pool_size(64, 1) == 1
     assert _pool_size(3, 10**6) == 3        # by the request
     assert _pool_size(0, 10**6) == 4        # 0 asks for every CPU
     # without an affinity call the machine's count is the cap
@@ -560,6 +659,34 @@ def test_fit_pool_is_capped(monkeypatch):
     assert _pool_size(64, 10**6) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(64, 10**6) == 1
+
+
+def test_worker_map_counts_chunks_and_keeps_order(monkeypatch):
+    # a stand-in pool records its size; one chunk runs in this process
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize):
+            return map(func, tasks)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr("volgram.cli.ProcessPoolExecutor", Pool)
+    assert list(_worker_map(64, 16)(abs, range(-17, 0))) == list(range(17, 0, -1))
+    assert started == [2]                   # 17 tasks are 2 chunks of 16
+    assert list(_worker_map(64, 16)(abs, range(-16, 0))) == list(range(16, 0, -1))
+    assert list(_worker_map(1, 1)(abs, range(-5, 0))) == [5, 4, 3, 2, 1]
+    assert list(_worker_map(0, 1)(abs, [])) == []
+    assert started == [2]
 
 
 @pytest.mark.parametrize("argv", [

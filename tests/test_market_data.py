@@ -5,9 +5,12 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest.mock import patch
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volgram import market_data
 from volgram.errors import (AllWindowsFiltered, EmptyInput, MissingColumn,
                             TooManyMalformed)
 from volgram.market_data import (QuoteRecord, build_windows, parse_quotes,
@@ -288,6 +292,80 @@ def test_parse_sources_agree(tmp_path_factory, case):
     assert _outcome(parse_quotes, str(path), column_map) == from_bytes
     assert _outcome(parse_quotes, io.StringIO(text, newline=""),
                     column_map) == from_bytes
+
+
+@given(quote_csvs(), st.integers(1, 64))
+@settings(max_examples=150, deadline=None)
+def test_parse_in_byte_ranges_matches_one_range(tmp_path_factory, case, chunk):
+    text, column_map = case
+    path = tmp_path_factory.mktemp("quotes") / "quotes.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def ordered(parse):
+        try:
+            result = parse()
+        except Exception as err:  # the exception type is part of the outcome
+            return type(err)
+        return result.records, result.n_records, result.n_malformed
+
+    one_range = ordered(lambda: parse_quotes(text.encode(), column_map))
+    with patch.object(market_data, "_INGEST_CHUNK_BYTES", chunk):
+        assert ordered(lambda: parse_quotes(path, column_map)) == one_range
+
+
+def _recording(tasks):
+    """An in-process map that also appends its tasks to ``tasks``."""
+    def run(func, items):
+        tasks.extend(items)
+        return map(func, tasks)
+    return run
+
+
+def test_quoted_newline_keeps_the_file_one_range(tmp_path, monkeypatch):
+    monkeypatch.setattr(market_data, "_INGEST_CHUNK_BYTES", 1)
+    path = tmp_path / "quotes.csv"
+    path.write_text('timestamp,symbol,last_price,volume,note\n'
+                    '1300000000,IBM,100.0,5000,"two\nlines"\n'
+                    '1300000060,GE,17.5,120,plain\n'
+                    '1300000120,IBM,101.0,10,"a ""quote"""\n', newline="")
+    tasks = []
+    result = parse_quotes(path, map_fn=_recording(tasks))
+    assert len(tasks) == 1
+    assert result.records == [QuoteRecord(1300000120.0, "IBM", 101.0, 10.0),
+                              QuoteRecord(1300000060.0, "GE", 17.5, 120.0)]
+    assert (result.n_records, result.n_malformed) == (3, 0)
+
+
+def test_ranges_end_after_a_newline(tmp_path, monkeypatch):
+    monkeypatch.setattr(market_data, "_INGEST_CHUNK_BYTES", 40)
+    path = tmp_path / "quotes.csv"      # 21 bytes a row, so 2 rows a range
+    rows = [f"{1300000000 + i},S{i},1.5,{i}" for i in range(9)]
+    path.write_bytes(("timestamp,symbol,last_price,volume\r\n"
+                      + "\r\n".join(rows)).encode())
+    data = path.read_bytes()
+    tasks = []
+    result = parse_quotes(path, map_fn=_recording(tasks))
+    ranges = [task[1:3] for task in tasks]
+    assert ranges[0][0] == data.index(b"\n") + 1
+    assert ranges[-1][1] == len(data)
+    assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:]))
+    assert all(data[b - 1:b] == b"\n" for _, b in ranges[:-1])
+    assert len(ranges) == 5
+    assert [r.symbol for r in result.records] == [f"S{i}" for i in range(9)]
+
+
+def test_parse_reads_a_pipe_as_one_range(tmp_path):
+    text = HEADER + "1300000000,IBM,100.0,5000\n1300000060,GE,17.5,120\n"
+    fifo = tmp_path / "quotes.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        result = parse_quotes(fifo)
+    finally:
+        writer.join()
+    assert result == parse_quotes(text.encode())
+    assert result.n_records == 2
 
 
 def _records_one_window(values, start=None):
