@@ -7,8 +7,7 @@ from .fitting import (FitResult, error_summary, fit_cdf,
                       fit_window_all_models)
 from .kramers_moyal import (ConditionalMoments, KMCoefficients,
                             MarkovTestResult, ParamSeries, conditional_moments,
-                            estimate_measurement_noise, km_estimate,
-                            markov_test)
+                            km_estimate, markov_test)
 from .langevin import (LangevinSpec, MarketSim, add_measurement_noise,
                        simulate_langevin, simulate_market)
 from .market_data import (QuoteRecord, SnapshotWindow, build_windows,
@@ -23,8 +22,7 @@ __all__ = [
     "EmpiricalCDF", "FitResult", "empirical_cdf",
     "error_summary", "fit_cdf", "fit_window_all_models",
     "ConditionalMoments", "KMCoefficients", "MarkovTestResult", "ParamSeries",
-    "conditional_moments", "estimate_measurement_noise", "km_estimate",
-    "markov_test",
+    "conditional_moments", "km_estimate", "markov_test",
     "LangevinSpec", "MarketSim", "add_measurement_noise",
     "simulate_langevin", "simulate_market",
     "QuoteRecord", "SnapshotWindow", "build_windows", "parse_quotes",

@@ -23,20 +23,24 @@ import logging
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import (distributions as dist, fitting, kramers_moyal as km_mod,
                langevin, market_data)
 from .distributions import ALL_KINDS, ModelKind
-from .errors import DataError, NumericalError, VolgramError, reading
+from .errors import (DataError, DomainError, NumericalError, VolgramError,
+                     reading)
 from .market_data import FORMAT_VERSION, strict_dumps
 
 log = logging.getLogger("volgram")
 
-_FIT_CHUNK = 16     # windows handed to a fit worker at a time
+_FIT_CHUNK = 16     # windows JSONL lines handed to a fit worker at a time
 # FitResult fields stored in a fit row, after phi and theta
 _FIT_FIELDS = ("rel_err_phi", "rel_err_theta", "rss", "converged", "iterations")
 
@@ -91,12 +95,13 @@ def _read_fit_rows(path: Path) -> list[dict]:
     return rows
 
 
-def _read_windows(path: Path) -> list[market_data.SnapshotWindow]:
-    with open(path, "r", encoding="utf-8") as fh:
-        windows = market_data.read_windows_jsonl(fh)
-    if not windows:
-        raise DataError(f"no windows in {path}")
-    return windows
+def _line_chunks(path: Path, size: int):
+    """(number of its first line, lines) of each run of ``size`` lines."""
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
+        lineno = 1
+        while lines := list(islice(fh, size)):
+            yield lineno, lines
+            lineno += len(lines)
 
 
 def _parse_models(spec: str) -> tuple[ModelKind, ...]:
@@ -155,12 +160,11 @@ def _parse_column_map(spec: str) -> dict[str, str]:
 
 # -- fit stage -------------------------------------------------------------
 
-def _fit_one(args) -> tuple[dict, str | None]:
+def _fit_one(window, kinds: tuple[ModelKind, ...]) -> tuple[dict, str | None]:
     """The fit row of one window, and the data error that left it unfitted.
 
     A window that cannot be fitted at all (too few samples) gets a row in
     which every model failed."""
-    window, kinds = args
     try:
         results = fitting.fit_window_all_models(window.samples, kinds=kinds)
     except DataError as err:
@@ -188,32 +192,46 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
     return min(jobs or cpus, cpus, n_tasks)
 
 
-def _worker_map(jobs: int, chunksize: int = 1):
-    """A ``map(func, tasks)`` that yields in task order and runs chunks of
-    ``chunksize`` tasks on ``_pool_size`` worker processes; with one
-    worker it runs them in this process."""
+def _worker_map(jobs: int):
+    """A ``map(func, tasks)`` that yields in task order.  The pool is sized
+    by ``_pool_size`` from the first two tasks per allowed worker and holds
+    at most two tasks per worker; with one worker the tasks run here."""
     def pooled(func, tasks):
-        tasks = list(tasks)
-        workers = _pool_size(jobs, math.ceil(len(tasks) / chunksize))
+        tasks = iter(tasks)
+        head = list(islice(tasks, 2 * _pool_size(jobs, math.inf)))
+        workers = _pool_size(jobs, len(head))
         if workers <= 1:
-            yield from map(func, tasks)
+            yield from map(func, chain(head, tasks))
             return
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(func, tasks, chunksize=chunksize)
+            in_flight = deque(pool.submit(func, task) for task in head)
+            while in_flight:
+                done = in_flight.popleft().result()
+                in_flight.extend(pool.submit(func, t) for t in islice(tasks, 1))
+                yield done
     return pooled
 
 
-def run_fit(windows: list[market_data.SnapshotWindow], output_path: Path,
+def _fit_chunk(task) -> list[tuple[dict, str | None]]:
+    """Decode one chunk of windows JSONL lines and fit each window."""
+    source, first_lineno, lines, kinds = task
+    return [_fit_one(window, kinds) for window in
+            market_data.read_windows_jsonl(lines, source, first_lineno)]
+
+
+def run_fit(windows_path: Path, output_path: Path,
             kinds: tuple[ModelKind, ...], jobs: int) -> list[dict]:
-    """Fit every window; write and return the fit rows."""
-    fitted = _worker_map(jobs, _FIT_CHUNK)(_fit_one,
-                                           [(w, kinds) for w in windows])
+    """Fit every window of a windows JSONL file; write and return the rows."""
+    tasks = ((windows_path, first, lines, kinds)
+             for first, lines in _line_chunks(windows_path, _FIT_CHUNK))
     rows = []
-    for row, problem in fitted:
+    for row, problem in chain.from_iterable(_worker_map(jobs)(_fit_chunk, tasks)):
         if problem is not None:
             log.warning("fit: window_start %r not fitted: %s",
                         row["window_start"], problem)
         rows.append(row)
+    if not rows:
+        raise DataError(f"no windows in {windows_path}")
     output_path.parent.mkdir(parents=True, exist_ok=True)
     with open(output_path, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -259,7 +277,8 @@ def _series_from_args(args) -> km_mod.ParamSeries:
             return km_mod.ParamSeries(values=np.asarray(doc["values"]),
                                       dt=float(doc.get("dt", 1.0)),
                                       gaps=np.asarray(doc.get("gaps", []), dtype=int))
-        except (ValueError, KeyError, TypeError, AttributeError) as err:
+        except (ValueError, KeyError, TypeError, AttributeError,
+                DomainError) as err:
             raise DataError(f"{path}: {type(err).__name__}: {err}") from None
     rows = _read_fit_rows(Path(args.input))
     return series_from_fit_rows(rows, ModelKind(args.model), args.param)
@@ -308,7 +327,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def emit_plotdata(outdir: Path,
-                  windows: list[market_data.SnapshotWindow] | None = None,
+                  windows: Iterable[market_data.SnapshotWindow] | None = None,
                   fit_rows: list[dict] | None = None,
                   summary: dict | None = None,
                   km_report: dict | None = None) -> list[Path]:
@@ -415,8 +434,7 @@ def emit_plotdata(outdir: Path,
 
 def _ingest(input_path: Path, output_path: Path, window_len: float,
             session_filter: bool, min_companies: int,
-            column_map: dict[str, str] | None,
-            jobs: int) -> list[market_data.SnapshotWindow]:
+            column_map: dict[str, str] | None, jobs: int) -> None:
     parsed = market_data.parse_quotes(input_path, column_map, window_len,
                                       _worker_map(jobs))
     log.info("ingest: %d records, %d malformed rows",
@@ -431,7 +449,6 @@ def _ingest(input_path: Path, output_path: Path, window_len: float,
              len(built.windows), built.n_session_filtered,
              built.n_below_min_companies)
     log.info("ingest: dropped %d zero-volume quotes", built.n_zero_volume_dropped)
-    return built.windows
 
 
 def _km(series: km_mod.ParamSeries, n_bins: int, tau_max: int, min_count: int,
@@ -462,8 +479,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    run_fit(_read_windows(Path(args.input)), Path(args.output), args.models,
-            args.jobs)
+    run_fit(Path(args.input), Path(args.output), args.models, args.jobs)
     return 0
 
 
@@ -524,14 +540,14 @@ def _cmd_pipeline(args) -> int:
     # with none is an empty windows file
     with open(args.input, "r", encoding="utf-8") as fh, reading(args.input):
         first = next((line.strip() for line in fh if line.strip()), "{")
-    if first.startswith("{"):
-        windows = _read_windows(Path(args.input))
-    else:
-        windows = _ingest(Path(args.input), outdir / "windows.jsonl",
-                          args.window_len, args.session_filter,
-                          args.min_companies, args.column_map, args.jobs)
+    windows_path = Path(args.input)
+    if not first.startswith("{"):
+        windows_path = outdir / "windows.jsonl"
+        _ingest(Path(args.input), windows_path, args.window_len,
+                args.session_filter, args.min_companies, args.column_map,
+                args.jobs)
 
-    rows = run_fit(windows, outdir / "fits.jsonl", args.models, args.jobs)
+    rows = run_fit(windows_path, outdir / "fits.jsonl", args.models, args.jobs)
     summary = fitting.error_summary(rows, args.hist_bins)
     _write_json(outdir / "summary.json", summary)
 
@@ -543,6 +559,10 @@ def _cmd_pipeline(args) -> int:
     _write_json(outdir / "km.json", report)
 
     if args.plotdata:
+        # decoded one line at a time, up to the first fitted window
+        windows = (w for lineno, lines in _line_chunks(windows_path, 1)
+                   for w in market_data.read_windows_jsonl(lines, windows_path,
+                                                           lineno))
         emit_plotdata(outdir / "plotdata", windows=windows, fit_rows=rows,
                       summary=summary, km_report=report)
     return 0

@@ -64,10 +64,6 @@ class AllBinsUnderpopulated(DataError):
     """No bin reaches the minimum event count."""
 
 
-class MeanBinUnpopulated(DataError):
-    """The bin containing the series mean was not reported."""
-
-
 class InsufficientTauPoints(DataError):
     """Fewer than three lag points in the requested fit range."""
 

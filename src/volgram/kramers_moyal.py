@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AllBinsUnderpopulated, DomainError, InsufficientTauPoints,
-                     MeanBinUnpopulated, SeriesTooShort)
+                     SeriesTooShort)
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class ParamSeries:
         object.__setattr__(self, "gaps", np.asarray(self.gaps, dtype=int))
         if np.any(~np.isfinite(self.values)):
             raise DomainError("parameter series contains non-finite values")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise DomainError(f"dt must be a finite number above 0, got {self.dt}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -236,20 +238,6 @@ def km_estimate(moments: ConditionalMoments,
         sqrt_mean_d2=float(np.sqrt(d2.mean())),
         tau_fit_range=(tau_lo, tau_hi),
     )
-
-
-def estimate_measurement_noise(moments: ConditionalMoments,
-                               tau_fit_range: tuple[int, int] = (1, 5)) -> float:
-    """Noise amplitude sqrt(a2/2) from the extrapolated tau -> 0 intercept
-    of M2 at the bin containing the series mean.
-
-    Where ``km_estimate`` reports NaN because that bin was not reported,
-    this raises.
-    """
-    if _mean_bin_index(moments) is None:
-        raise MeanBinUnpopulated(
-            "the bin containing the series mean fell below min_count")
-    return km_estimate(moments, tau_fit_range).noise_sigma
 
 
 @dataclass(frozen=True)

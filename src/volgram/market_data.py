@@ -366,10 +366,13 @@ def window_to_dict(w: SnapshotWindow) -> dict:
 
 
 def window_from_dict(d: dict) -> SnapshotWindow:
+    """A window from its JSON object; raises ``ValueError`` unless its
+    samples are a non-empty list of finite numbers above 0, one per
+    company, and its ``window_len`` is a finite number above 0."""
     version = d.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported window format_version {version}")
-    return SnapshotWindow(
+    w = SnapshotWindow(
         window_start=float(d["window_start"]),
         window_len=float(d["window_len"]),
         samples=np.asarray(d["samples"], dtype=float),
@@ -377,6 +380,16 @@ def window_from_dict(d: dict) -> SnapshotWindow:
         std_s=float(d["std_s"]),
         n_companies=int(d["n_companies"]),
     )
+    s = w.samples
+    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s) & (s > 0)):
+        raise ValueError("samples must be a non-empty list of finite numbers "
+                         "above 0")
+    if w.n_companies != s.size:
+        raise ValueError(f"n_companies {w.n_companies} but {s.size} samples")
+    if not (math.isfinite(w.window_len) and w.window_len > 0):
+        raise ValueError(f"window_len must be a finite number above 0, "
+                         f"got {w.window_len}")
+    return w
 
 
 def strict_dumps(obj) -> str:
@@ -395,17 +408,18 @@ def write_windows_jsonl(windows, fh) -> None:
         fh.write(strict_dumps(window_to_dict(w)) + "\n")
 
 
-def read_windows_jsonl(fh) -> list[SnapshotWindow]:
-    """Windows from a JSON-lines stream; blank lines are skipped.
+def read_windows_jsonl(fh, source=None, first_lineno=1) -> list[SnapshotWindow]:
+    """Windows from a JSON-lines stream or list of lines, numbered from
+    ``first_lineno``; blank lines are skipped.
 
-    A line that is not a window of this format version raises
-    ``MalformedWindow`` naming the stream and the line number; text that
-    is not UTF-8 raises ``UnreadableInput``.
+    A line that is not a valid window of this format version raises
+    ``MalformedWindow`` naming ``source`` (default: the stream's name) and
+    the line number; text that is not UTF-8 raises ``UnreadableInput``.
     """
     out = []
-    source = getattr(fh, "name", "windows JSONL")
+    source = source or getattr(fh, "name", "windows JSONL")
     with reading(source):
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(fh, start=first_lineno):
             line = line.strip()
             if not line:
                 continue

@@ -21,8 +21,7 @@ from volgram import distributions as dist
 from volgram.distributions import ALL_KINDS, ModelKind, ModelParams
 from volgram.fitting import empirical_cdf, fit_cdf, fit_window_all_models
 from volgram.kramers_moyal import (ParamSeries, conditional_moments,
-                                   estimate_measurement_noise, km_estimate,
-                                   markov_test)
+                                   km_estimate, markov_test)
 from volgram.langevin import (LangevinSpec, add_measurement_noise,
                               simulate_langevin, simulate_market)
 from volgram.special_functions import erf, reg_inc_gamma_lower, reg_inc_gamma_upper
@@ -341,7 +340,7 @@ def test_criterion_5_measurement_noise(reference_ou_series):
     """
     noisy = add_measurement_noise(reference_ou_series, 5e-3, seed=777)
     moments = conditional_moments(noisy, n_bins=1, tau_max=5, min_count=100)
-    est = estimate_measurement_noise(moments, (1, 3))
+    est = km_estimate(moments, (1, 3)).noise_sigma
     err = abs(est - 5e-3) / 5e-3
     ok = err <= 0.10
     _report("5 measurement-noise", ok,

@@ -662,8 +662,17 @@ def test_fit_pool_is_capped(monkeypatch):
 
 
 def test_worker_map_counts_chunks_and_keeps_order(monkeypatch):
-    # a stand-in pool records its size; one chunk runs in this process
-    started = []
+    # a stand-in pool records its size and the most tasks it held at once:
+    # a task is held from its submit until its result is taken
+    started, held, most = [], [0], [0]
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            held[0] -= 1
+            return self.value
 
     class Pool:
         def __init__(self, max_workers):
@@ -675,18 +684,109 @@ def test_worker_map_counts_chunks_and_keeps_order(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, tasks, chunksize):
-            return map(func, tasks)
+        def submit(self, func, task):
+            held[0] += 1
+            most[0] = max(most[0], held[0])
+            return Done(func(task))
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     monkeypatch.setattr("volgram.cli.ProcessPoolExecutor", Pool)
-    assert list(_worker_map(64, 16)(abs, range(-17, 0))) == list(range(17, 0, -1))
-    assert started == [2]                   # 17 tasks are 2 chunks of 16
-    assert list(_worker_map(64, 16)(abs, range(-16, 0))) == list(range(16, 0, -1))
-    assert list(_worker_map(1, 1)(abs, range(-5, 0))) == [5, 4, 3, 2, 1]
-    assert list(_worker_map(0, 1)(abs, [])) == []
-    assert started == [2]
+    assert list(_worker_map(64)(abs, range(-100, 0))) == list(range(100, 0, -1))
+    assert started == [4]                   # by the CPUs
+    assert most == [8]                      # two tasks per worker
+    # sized from the first 2 x 4 tasks; a lazy task stream works too
+    assert list(_worker_map(64)(abs, iter([-3, -2, -1]))) == [3, 2, 1]
+    assert list(_worker_map(2)(abs, (-i for i in range(9)))) == list(range(9))
+    assert started == [4, 3, 2]
+    assert held == [0]
+    # one task, or one job, runs in this process
+    assert list(_worker_map(64)(abs, [-7])) == [7]
+    assert list(_worker_map(1)(abs, range(-5, 0))) == [5, 4, 3, 2, 1]
+    assert list(_worker_map(0)(abs, [])) == []
+    assert started == [4, 3, 2]
+
+
+def test_fit_chunks_of_lines_give_the_same_bytes_at_any_jobs(tmp_path):
+    # 44 windows and a blank line after every fifth are four chunks of 16
+    out, _ = _simulate_market_files(tmp_path, windows=44, companies=30)
+    lines = out.read_text().splitlines(keepends=True)
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("".join(line + ("\n" if i % 5 == 4 else "")
+                              for i, line in enumerate(lines)))
+    fits = {}
+    for src, jobs in ((out, "1"), (padded, "1"), (padded, "2")):
+        path = tmp_path / f"fits-{src.stem}-{jobs}.jsonl"
+        assert main(["fit", "--input", str(src), "--output", str(path),
+                     "--models", "inverse-gamma", "--jobs", jobs]) == 0
+        fits[src.stem, jobs] = path.read_bytes()
+    assert len(fits["padded", "2"].splitlines()) == 44
+    assert fits["padded", "1"] == fits["padded", "2"] == fits["windows", "1"]
+
+
+@pytest.mark.parametrize("stage", ["fit", "pipeline"])
+def test_malformed_line_in_a_later_chunk_names_its_line(tmp_path, capsys,
+                                                        stage):
+    # line 41 is in the third chunk of 16 lines, fitted by a worker
+    out, _ = _simulate_market_files(tmp_path, windows=60, companies=30)
+    lines = out.read_text().splitlines()
+    lines[40] = '{"window_start": 0,'
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    target = {"fit": ["--output", str(tmp_path / "fits.jsonl")],
+              "pipeline": ["--outdir", str(tmp_path)]}[stage]
+    rc = main([stage, "--input", str(bad), "--models", "inverse-gamma",
+               "--jobs", "2"] + target)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {bad} line 41: JSONDecodeError: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fits.jsonl").exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"samples": [0.0] + [1.0] * 19}, {"samples": [-1.0] + [1.0] * 19},
+    {"samples": 3, "n_companies": 1}, {"samples": [], "n_companies": 0},
+    {"samples": [[1.0, 1.0]], "n_companies": 1}, {"n_companies": 7},
+    {"window_len": 0.0}, {"window_len": -600.0}, {"window_len": 1e999},
+], ids=["zero-sample", "negative-sample", "number", "empty", "nested",
+        "n-companies", "zero-len", "negative-len", "infinite-len"])
+def test_invalid_window_is_data_error(tmp_path, capsys, change):
+    out, _ = _simulate_market_files(tmp_path, windows=3, companies=20)
+    lines = out.read_text().splitlines()
+    window = json.loads(lines[1])
+    window.update(change)
+    lines[1] = json.dumps(window)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    fits = tmp_path / "fits.jsonl"
+    rc = main(["fit", "--input", str(bad), "--output", str(fits),
+               "--models", "inverse-gamma", "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"data error: {bad} line 2: ValueError: " in err
+    assert "Traceback" not in err
+    assert not fits.exists()
+
+
+@pytest.mark.parametrize("stage", ["km", "markov"])
+@pytest.mark.parametrize("dt", ["0", "-1", "1e999"])
+def test_series_dt_not_above_zero_is_data_error(tmp_path, capsys, stage, dt):
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "20000", "--seed", "4"]) == 0
+    text = series.read_text()
+    assert '"dt": 1.0' in text
+    series.write_text(text.replace('"dt": 1.0', f'"dt": {dt}'))
+    output = tmp_path / "out.json"
+    capsys.readouterr()
+    rc = main([stage, "--series", str(series), "--output", str(output)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert (f"data error: {series}: DomainError: dt must be a finite number "
+            "above 0" in err)
+    assert "Traceback" not in err
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("argv", [

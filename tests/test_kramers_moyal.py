@@ -4,13 +4,12 @@ and the Markov property test."""
 import numpy as np
 import pytest
 
-from volgram.errors import (AllBinsUnderpopulated, InsufficientTauPoints,
-                            MeanBinUnpopulated, SeriesTooShort)
+from volgram.errors import (AllBinsUnderpopulated, DomainError,
+                            InsufficientTauPoints, SeriesTooShort)
 from volgram.kramers_moyal import (ConditionalMoments, ParamSeries,
                                    _bin_index, _gap_prefix, _markov_distance,
                                    _triple_counts, conditional_moments,
-                                   estimate_measurement_noise, km_estimate,
-                                   markov_test)
+                                   km_estimate, markov_test)
 from volgram.langevin import LangevinSpec, add_measurement_noise, simulate_langevin
 
 
@@ -121,6 +120,12 @@ def test_gap_increments_never_used():
     assert np.allclose(mom.m2, 0.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
+def test_series_dt_must_be_finite_and_positive(dt):
+    with pytest.raises(DomainError, match="dt must be a finite number above 0"):
+        ParamSeries(values=[0.9, 0.91, 0.92], dt=dt)
+
+
 def test_noise_sigma_on_constant_plus_noise():
     # unconditioned second moment of increments is exactly 2 sigma^2, so
     # the single-bin intercept recovers sigma
@@ -128,7 +133,7 @@ def test_noise_sigma_on_constant_plus_noise():
     sigma = 3e-3
     series = _series(0.93 + rng.normal(0.0, sigma, 100_000))
     mom = conditional_moments(series, n_bins=1, tau_max=5, min_count=100)
-    est = estimate_measurement_noise(mom, (1, 3))
+    est = km_estimate(mom, (1, 3)).noise_sigma
     assert est == pytest.approx(sigma, rel=0.02)
 
 
@@ -140,7 +145,7 @@ def test_noise_sigma_shrinks_under_tight_conditioning():
     sigma = 3e-3
     series = _series(0.93 + rng.normal(0.0, sigma, 200_000))
     mom = conditional_moments(series, n_bins=50, tau_max=5, min_count=500)
-    est = estimate_measurement_noise(mom, (1, 3))
+    est = km_estimate(mom, (1, 3)).noise_sigma
     assert est == pytest.approx(sigma / np.sqrt(2.0), rel=0.05)
 
 
@@ -149,7 +154,7 @@ def test_noise_sigma_small_on_noise_free_ou():
     # per-step noise scale sqrt(2 D2 dt)
     series = _ou(10**6, seed=45, k=0.005, d2=1e-6)
     mom = conditional_moments(series, n_bins=1, tau_max=5, min_count=100)
-    est = estimate_measurement_noise(mom, (1, 3))
+    est = km_estimate(mom, (1, 3)).noise_sigma
     step_scale = np.sqrt(2.0 * 1e-6 * 1.0)
     assert est < 0.10 * step_scale
 
@@ -158,9 +163,8 @@ def test_noise_sigma_added_noise_recovered():
     series = _ou(400_000, seed=46)
     noisy = add_measurement_noise(series, 5e-3, seed=47)
     mom = conditional_moments(noisy, n_bins=1, tau_max=5, min_count=100)
-    est = estimate_measurement_noise(mom, (1, 3))
+    est = km_estimate(mom, (1, 3)).noise_sigma
     assert est == pytest.approx(5e-3, rel=0.10)
-    assert est == km_estimate(mom, (1, 3)).noise_sigma
 
 
 def test_mean_bin_unpopulated_raises():
@@ -169,9 +173,7 @@ def test_mean_bin_unpopulated_raises():
     values = np.r_[rng.normal(0.0, 0.01, 5000), rng.normal(1.0, 0.01, 5000)]
     series = _series(values)
     mom = conditional_moments(series, n_bins=20, tau_max=3, min_count=50)
-    with pytest.raises(MeanBinUnpopulated):
-        estimate_measurement_noise(mom, (1, 3))
-    # the same rule in km_estimate: no noise from a distant bin
+    # no noise from a distant bin
     assert np.isnan(km_estimate(mom, (1, 3)).noise_sigma)
 
 

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volgram import market_data
-from volgram.errors import (AllWindowsFiltered, EmptyInput, MissingColumn,
-                            TooManyMalformed)
+from volgram.errors import (AllWindowsFiltered, EmptyInput, MalformedWindow,
+                            MissingColumn, TooManyMalformed)
 from volgram.market_data import (QuoteRecord, build_windows, parse_quotes,
                                  read_windows_jsonl, window_from_dict,
                                  window_to_dict, write_windows_jsonl)
@@ -510,6 +510,25 @@ def test_window_format_version_checked():
     d["format_version"] = 99
     with pytest.raises(ValueError):
         window_from_dict(d)
+
+
+@pytest.mark.parametrize("change", [
+    {"samples": [0.0, 1.0]}, {"samples": [-1.0, 1.0]},
+    {"samples": [float("nan"), 1.0]}, {"samples": [float("inf"), 1.0]},
+    {"samples": 3}, {"samples": []}, {"n_companies": 7},
+    {"window_len": 0.0}, {"window_len": float("nan")},
+], ids=["zero", "negative", "nan", "inf", "number", "empty", "n-companies",
+        "zero-len", "nan-len"])
+def test_invalid_window_rejected(change):
+    d = window_to_dict(build_windows(
+        _records_one_window([(1.0, 2.0), (3.0, 4.0)]),
+        min_companies=1).windows[0])
+    window_from_dict(d)
+    with pytest.raises(ValueError):
+        window_from_dict({**d, **change})
+    buf = io.StringIO(json.dumps(d) + "\n\n" + json.dumps({**d, **change}) + "\n")
+    with pytest.raises(MalformedWindow, match="^windows.jsonl line 12: ValueError: "):
+        read_windows_jsonl(buf.readlines(), "windows.jsonl", 10)
 
 
 # -- one-pass ingest against sorting every record --------------------------
