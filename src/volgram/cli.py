@@ -63,33 +63,37 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(strict_dumps(payload) + "\n")
 
 
-def _fit_row_problem(row) -> str | None:
-    """Why a JSON value read from a fits JSONL line is not a fit row."""
-    if not isinstance(row, dict):
-        return "not a JSON object"
-    if not isinstance(row.get("models"), dict):
-        return 'no "models" object'
-    start = row.get("window_start")
-    if isinstance(start, bool) or not isinstance(start, (int, float)):
-        return f"window_start {start!r} is not a number"
-    return None
+def _finite(obj: dict, key: str, above: float = -math.inf) -> None:
+    """Raise ``ValueError`` unless ``obj[key]`` is a finite number above
+    ``above``."""
+    value = obj.get(key)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > above)):
+        rule = "" if above == -math.inf else f" above {above:g}"
+        raise ValueError(f"{key} must be a finite number{rule}, got {value!r}")
+
+
+def _fit_row(row) -> dict:
+    """A fit row from its JSON value; raises ``ValueError`` unless every
+    field that summary, km and markov read is valid."""
+    if not isinstance(row, dict) or not isinstance(row.get("models"), dict):
+        raise ValueError('not a JSON object with a "models" object')
+    _finite(row, "window_start")
+    if "window_len" in row:
+        _finite(row, "window_len", above=0.0)
+    for name, entry in row["models"].items():
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("converged"), bool)):
+            raise ValueError(f"model {name!r} has no boolean converged")
+        if entry["converged"]:
+            for key in ("phi", "theta", "rel_err_phi", "rel_err_theta"):
+                _finite(entry, key)
+    return row
 
 
 def _read_fit_rows(path: Path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh, reading(path):
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as err:
-                raise DataError(f"{path} line {lineno}: "
-                                f"{type(err).__name__}: {err}") from None
-            problem = _fit_row_problem(row)
-            if problem:
-                raise DataError(f"{path} line {lineno}: {problem}")
-            rows.append(row)
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = list(market_data.read_jsonl(fh, path, _fit_row))
     if not rows:
         raise DataError(f"no fit rows in {path}")
     return rows
@@ -274,11 +278,11 @@ def _series_from_args(args) -> km_mod.ParamSeries:
         path = Path(args.series)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            return km_mod.ParamSeries(values=np.asarray(doc["values"]),
+            return km_mod.ParamSeries(values=doc["values"],
                                       dt=float(doc.get("dt", 1.0)),
-                                      gaps=np.asarray(doc.get("gaps", []), dtype=int))
+                                      gaps=doc.get("gaps", []))
         except (ValueError, KeyError, TypeError, AttributeError,
-                DomainError) as err:
+                OverflowError, DomainError) as err:
             raise DataError(f"{path}: {type(err).__name__}: {err}") from None
     rows = _read_fit_rows(Path(args.input))
     return series_from_fit_rows(rows, ModelKind(args.model), args.param)
@@ -559,12 +563,12 @@ def _cmd_pipeline(args) -> int:
     _write_json(outdir / "km.json", report)
 
     if args.plotdata:
-        # decoded one line at a time, up to the first fitted window
-        windows = (w for lineno, lines in _line_chunks(windows_path, 1)
-                   for w in market_data.read_windows_jsonl(lines, windows_path,
-                                                           lineno))
-        emit_plotdata(outdir / "plotdata", windows=windows, fit_rows=rows,
-                      summary=summary, km_report=report)
+        # decoded lazily, up to the first fitted window
+        with open(windows_path, "r", encoding="utf-8") as fh:
+            windows = market_data.read_jsonl(fh, windows_path,
+                                             market_data.window_from_dict)
+            emit_plotdata(outdir / "plotdata", windows=windows, fit_rows=rows,
+                          summary=summary, km_report=report)
     return 0
 
 

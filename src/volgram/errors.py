@@ -40,8 +40,8 @@ class UnreadableInput(DataError):
     csv field size limit, a NUL byte)."""
 
 
-class MalformedWindow(DataError):
-    """A windows JSONL line is not a window of this format version."""
+class MalformedLine(DataError):
+    """A JSON-lines line is not a record of its file's format."""
 
 
 class AllWindowsFiltered(DataError):

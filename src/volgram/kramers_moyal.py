@@ -33,12 +33,17 @@ class ParamSeries:
     gaps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "gaps", np.asarray(self.gaps, dtype=int))
-        if np.any(~np.isfinite(self.values)):
-            raise DomainError("parameter series contains non-finite values")
+        values = np.asarray(self.values, dtype=float)
+        gaps = np.asarray(self.gaps)
+        if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+            raise DomainError("values must be a non-empty list of finite numbers")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise DomainError(f"dt must be a finite number above 0, got {self.dt}")
+        if gaps.ndim != 1 or gaps.dtype.kind not in "iuf" or not np.all(
+                (gaps == np.floor(gaps)) & (gaps >= 0) & (gaps <= values.size - 2)):
+            raise DomainError(f"gaps must be integers in [0, {values.size - 2}]")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "gaps", gaps.astype(int))
 
     def __len__(self) -> int:
         return self.values.size
@@ -83,13 +88,8 @@ class KMCoefficients:
 
 def _gap_prefix(series: ParamSeries) -> np.ndarray:
     """Prefix sums G with G[t2] - G[t1] == 0 iff no gap inside (t1, t2]."""
-    n = len(series)
-    flags = np.zeros(n, dtype=np.int64)
-    if series.gaps.size:
-        g = series.gaps
-        if np.any(g < 0) or np.any(g >= n - 1):
-            raise DomainError("gap indices must lie in [0, len-2]")
-        flags[g + 1] = 1
+    flags = np.zeros(len(series), dtype=np.int64)
+    flags[series.gaps + 1] = 1
     return np.cumsum(flags)
 
 

@@ -24,7 +24,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import (AllWindowsFiltered, EmptyInput, MalformedWindow,
+from .errors import (AllWindowsFiltered, EmptyInput, MalformedLine,
                      MissingColumn, TooManyMalformed, reading)
 
 FORMAT_VERSION = 1
@@ -368,7 +368,8 @@ def window_to_dict(w: SnapshotWindow) -> dict:
 def window_from_dict(d: dict) -> SnapshotWindow:
     """A window from its JSON object; raises ``ValueError`` unless its
     samples are a non-empty list of finite numbers above 0, one per
-    company, and its ``window_len`` is a finite number above 0."""
+    company, its ``window_start`` is a finite number, and its
+    ``window_len`` is a finite number above 0."""
     version = d.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported window format_version {version}")
@@ -386,6 +387,9 @@ def window_from_dict(d: dict) -> SnapshotWindow:
                          "above 0")
     if w.n_companies != s.size:
         raise ValueError(f"n_companies {w.n_companies} but {s.size} samples")
+    if not math.isfinite(w.window_start):
+        raise ValueError(f"window_start must be a finite number, "
+                         f"got {w.window_start}")
     if not (math.isfinite(w.window_len) and w.window_len > 0):
         raise ValueError(f"window_len must be a finite number above 0, "
                          f"got {w.window_len}")
@@ -408,24 +412,26 @@ def write_windows_jsonl(windows, fh) -> None:
         fh.write(strict_dumps(window_to_dict(w)) + "\n")
 
 
-def read_windows_jsonl(fh, source=None, first_lineno=1) -> list[SnapshotWindow]:
-    """Windows from a JSON-lines stream or list of lines, numbered from
-    ``first_lineno``; blank lines are skipped.
-
-    A line that is not a valid window of this format version raises
-    ``MalformedWindow`` naming ``source`` (default: the stream's name) and
-    the line number; text that is not UTF-8 raises ``UnreadableInput``.
-    """
-    out = []
-    source = source or getattr(fh, "name", "windows JSONL")
+def read_jsonl(lines, source, decode, first_lineno=1):
+    """``decode(json.loads(line))`` of each non-blank line, numbered from
+    ``first_lineno``. A line either call rejects raises ``MalformedLine``
+    naming ``source`` and line; non-UTF-8 text raises ``UnreadableInput``."""
     with reading(source):
-        for lineno, line in enumerate(fh, start=first_lineno):
+        for lineno, line in enumerate(lines, start=first_lineno):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(window_from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as err:
-                raise MalformedWindow(f"{source} line {lineno}: "
-                                      f"{type(err).__name__}: {err}") from None
-    return out
+                record = decode(json.loads(line))
+            except (ValueError, KeyError, TypeError, AttributeError,
+                    OverflowError) as err:
+                raise MalformedLine(f"{source} line {lineno}: "
+                                    f"{type(err).__name__}: {err}") from None
+            yield record
+
+
+def read_windows_jsonl(fh, source=None, first_lineno=1) -> list[SnapshotWindow]:
+    """Windows from a JSON-lines stream or list of lines (see
+    ``read_jsonl``); ``source`` defaults to the stream's name."""
+    return list(read_jsonl(fh, source or getattr(fh, "name", "windows JSONL"),
+                           window_from_dict, first_lineno))

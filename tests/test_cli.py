@@ -353,9 +353,19 @@ def test_series_with_times_gives_the_same_km(tmp_path):
             == (tmp_path / "km-series.json").read_bytes())
 
 
+# long enough for the default km and markov bins: only the fault stops them
+_SERIES_VALUES = '"values": [' + ", ".join(["0.9", "0.91", "0.93"] * 200) + "]"
+
+
 @pytest.mark.parametrize("stage", ["km", "markov"])
-@pytest.mark.parametrize("text", ['{"values": [0.9, 0.91', '{"dt": 1.0}', "[1, 2]"],
-                         ids=["truncated", "no-values", "not-object"])
+@pytest.mark.parametrize("text", [
+    '{"values": [0.9, 0.91', '{"dt": 1.0}', "[1, 2]",
+    "{" + _SERIES_VALUES + ', "gaps": [5000]}',
+    "{" + _SERIES_VALUES + ', "gaps": [-1]}',
+    "{" + _SERIES_VALUES + ', "gaps": [1.5]}',
+    '{"values": [[1, 2], [3, 4]]}',
+], ids=["truncated", "no-values", "not-object", "gap-past-end", "negative-gap",
+        "fractional-gap", "nested-values"])
 def test_malformed_series_is_data_error(tmp_path, capsys, stage, text):
     path = tmp_path / "series.json"
     path.write_text(text)
@@ -387,17 +397,35 @@ def test_malformed_fit_row_is_data_error(tmp_path, capsys, stage):
     assert not output.exists()
 
 
+_FIT = {"phi": 2.0, "theta": 1.0, "rel_err_phi": 0.1, "rel_err_theta": 0.1,
+        "rss": 0.01, "converged": True, "iterations": 5}
+
+
+def _fit_line(models, **fields):
+    """A fit row of the second window with these models and fields."""
+    return json.dumps({"window_start": 600.0, "window_len": 600.0,
+                       "n_companies": 12, "models": models, **fields})
+
+
 @pytest.mark.parametrize("stage", ["summary", "km", "markov"])
-@pytest.mark.parametrize("line", ['{"window_start": 0}', '[1, 2]',
-                                  '{"window_start": "0", "models": {}}',
-                                  '{"window_start": true, "models": {}}'])
+@pytest.mark.parametrize("line", [
+    '{"window_start": 0}', '[1, 2]',
+    '{"window_start": "0", "models": {}}',
+    '{"window_start": true, "models": {}}',
+    pytest.param('{"window_start": NaN, "models": {}}', id="nan-start"),
+    pytest.param(_fit_line({}, window_len="x"), id="text-len"),
+    pytest.param(_fit_line({"inverse-gamma": 3}), id="number-entry"),
+    pytest.param(_fit_line({"inverse-gamma": {"phi": 2.0, "theta": 1.0}}),
+                 id="no-converged"),
+    pytest.param(_fit_line({"inverse-gamma": {**_FIT, "phi": "x"}}),
+                 id="text-phi"),
+    pytest.param(_fit_line({"inverse-gamma": {**_FIT, "rel_err_phi": 1e999}}),
+                 id="infinite-rel-err"),
+])
 def test_json_line_that_is_not_a_fit_row_is_data_error(tmp_path, capsys,
                                                       stage, line):
-    fit = {"phi": 2.0, "theta": 1.0, "rel_err_phi": 0.1,
-           "rel_err_theta": 0.1, "rss": 0.01, "converged": True,
-           "iterations": 5}
     good = json.dumps({"window_start": 0.0, "window_len": 600.0,
-                       "n_companies": 12, "models": {"inverse-gamma": fit}})
+                       "n_companies": 12, "models": {"inverse-gamma": _FIT}})
     bad = tmp_path / "bad.jsonl"
     bad.write_text(good + "\n" + line + "\n")
     output = tmp_path / "out.json"
@@ -749,8 +777,10 @@ def test_malformed_line_in_a_later_chunk_names_its_line(tmp_path, capsys,
     {"samples": 3, "n_companies": 1}, {"samples": [], "n_companies": 0},
     {"samples": [[1.0, 1.0]], "n_companies": 1}, {"n_companies": 7},
     {"window_len": 0.0}, {"window_len": -600.0}, {"window_len": 1e999},
+    {"window_start": 1e999}, {"n_companies": 1e999},
 ], ids=["zero-sample", "negative-sample", "number", "empty", "nested",
-        "n-companies", "zero-len", "negative-len", "infinite-len"])
+        "n-companies", "zero-len", "negative-len", "infinite-len",
+        "infinite-start", "infinite-n-companies"])
 def test_invalid_window_is_data_error(tmp_path, capsys, change):
     out, _ = _simulate_market_files(tmp_path, windows=3, companies=20)
     lines = out.read_text().splitlines()
@@ -764,7 +794,9 @@ def test_invalid_window_is_data_error(tmp_path, capsys, change):
                "--models", "inverse-gamma", "--jobs", "1"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"data error: {bad} line 2: ValueError: " in err
+    # int() of an infinite n_companies raises OverflowError
+    assert any(f"data error: {bad} line 2: {name}: " in err
+               for name in ("ValueError", "OverflowError"))
     assert "Traceback" not in err
     assert not fits.exists()
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volgram import market_data
-from volgram.errors import (AllWindowsFiltered, EmptyInput, MalformedWindow,
+from volgram.errors import (AllWindowsFiltered, EmptyInput, MalformedLine,
                             MissingColumn, TooManyMalformed)
 from volgram.market_data import (QuoteRecord, build_windows, parse_quotes,
                                  read_windows_jsonl, window_from_dict,
@@ -527,7 +527,7 @@ def test_invalid_window_rejected(change):
     with pytest.raises(ValueError):
         window_from_dict({**d, **change})
     buf = io.StringIO(json.dumps(d) + "\n\n" + json.dumps({**d, **change}) + "\n")
-    with pytest.raises(MalformedWindow, match="^windows.jsonl line 12: ValueError: "):
+    with pytest.raises(MalformedLine, match="^windows.jsonl line 12: ValueError: "):
         read_windows_jsonl(buf.readlines(), "windows.jsonl", 10)
 
 
