@@ -6,12 +6,12 @@ from .distributions import (ALL_KINDS, EmpiricalCDF, ModelKind, ModelParams,
 from .fitting import (FitResult, error_summary, fit_cdf,
                       fit_window_all_models)
 from .kramers_moyal import (ConditionalMoments, KMCoefficients,
-                            MarkovTestResult, ParamSeries, conditional_moments,
+                            MarkovTestResult, conditional_moments,
                             km_estimate, markov_test)
 from .langevin import (LangevinSpec, MarketSim, add_measurement_noise,
                        simulate_langevin, simulate_market)
-from .market_data import (QuoteRecord, SnapshotWindow, build_windows,
-                          parse_quotes, read_windows_jsonl,
+from .market_data import (ParamSeries, QuoteRecord, SnapshotWindow,
+                          build_windows, parse_quotes, read_windows_jsonl,
                           write_windows_jsonl)
 
 __version__ = "0.1.0"

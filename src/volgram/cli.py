@@ -18,7 +18,6 @@ value that cannot be computed (NaN or infinite) is written as ``null``.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -34,15 +33,12 @@ import numpy as np
 from . import (distributions as dist, fitting, kramers_moyal as km_mod,
                langevin, market_data)
 from .distributions import ALL_KINDS, ModelKind
-from .errors import (DataError, DomainError, NumericalError, VolgramError,
-                     reading)
+from .errors import DataError, NumericalError, VolgramError, reading
 from .market_data import FORMAT_VERSION, strict_dumps
 
 log = logging.getLogger("volgram")
 
 _FIT_CHUNK = 16     # windows JSONL lines handed to a fit worker at a time
-# FitResult fields stored in a fit row, after phi and theta
-_FIT_FIELDS = ("rel_err_phi", "rel_err_theta", "rss", "converged", "iterations")
 
 
 class UsageError(Exception):
@@ -61,42 +57,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(strict_dumps(payload) + "\n")
-
-
-def _finite(obj: dict, key: str, above: float = -math.inf) -> None:
-    """Raise ``ValueError`` unless ``obj[key]`` is a finite number above
-    ``above``."""
-    value = obj.get(key)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and value > above)):
-        rule = "" if above == -math.inf else f" above {above:g}"
-        raise ValueError(f"{key} must be a finite number{rule}, got {value!r}")
-
-
-def _fit_row(row) -> dict:
-    """A fit row from its JSON value; raises ``ValueError`` unless every
-    field that summary, km and markov read is valid."""
-    if not isinstance(row, dict) or not isinstance(row.get("models"), dict):
-        raise ValueError('not a JSON object with a "models" object')
-    _finite(row, "window_start")
-    if "window_len" in row:
-        _finite(row, "window_len", above=0.0)
-    for name, entry in row["models"].items():
-        if not (isinstance(entry, dict)
-                and isinstance(entry.get("converged"), bool)):
-            raise ValueError(f"model {name!r} has no boolean converged")
-        if entry["converged"]:
-            for key in ("phi", "theta", "rel_err_phi", "rel_err_theta"):
-                _finite(entry, key)
-    return row
-
-
-def _read_fit_rows(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(market_data.read_jsonl(fh, path, _fit_row))
-    if not rows:
-        raise DataError(f"no fit rows in {path}")
-    return rows
 
 
 def _line_chunks(path: Path, size: int):
@@ -123,10 +83,12 @@ def _parse_models(spec: str) -> tuple[ModelKind, ...]:
 
 def _parse_tau_range(spec: str) -> tuple[int, int]:
     try:
-        lo, hi = spec.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, spec.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad tau range {spec!r}, expected LO:HI")
+    if lo < 1 or hi - lo < 2:
+        raise argparse.ArgumentTypeError(f"tau range {spec!r} needs 1 <= LO <= HI - 2")
+    return lo, hi
 
 
 def _ranged(kind, low, high=math.inf, low_open=False):
@@ -164,30 +126,6 @@ def _parse_column_map(spec: str) -> dict[str, str]:
 
 # -- fit stage -------------------------------------------------------------
 
-def _fit_one(window, kinds: tuple[ModelKind, ...]) -> tuple[dict, str | None]:
-    """The fit row of one window, and the data error that left it unfitted.
-
-    A window that cannot be fitted at all (too few samples) gets a row in
-    which every model failed."""
-    try:
-        results = fitting.fit_window_all_models(window.samples, kinds=kinds)
-    except DataError as err:
-        failed = {**dict.fromkeys(("phi", "theta", *_FIT_FIELDS)),
-                  "converged": False, "iterations": 0}
-        models = {kind.value: failed for kind in kinds}
-        problem = f"{type(err).__name__}: {err}"
-    else:
-        models = {kind.value: {"phi": fr.params.phi, "theta": fr.params.theta,
-                               **{key: getattr(fr, key) for key in _FIT_FIELDS}}
-                  for kind, fr in results.items()}
-        problem = None
-    return {"format_version": FORMAT_VERSION,
-            "window_start": window.window_start,
-            "window_len": window.window_len,
-            "n_companies": window.n_companies,
-            "models": models}, problem
-
-
 def _pool_size(jobs: int, n_tasks: int) -> int:
     """Workers: no more than jobs (0: any number), than the CPUs this
     process may run on, or than tasks."""
@@ -217,10 +155,18 @@ def _worker_map(jobs: int):
 
 
 def _fit_chunk(task) -> list[tuple[dict, str | None]]:
-    """Decode one chunk of windows JSONL lines and fit each window."""
+    """Decode one chunk of windows JSONL lines; each window's fit row, and
+    the data error (too few samples) that left every model of it failed."""
     source, first_lineno, lines, kinds = task
-    return [_fit_one(window, kinds) for window in
-            market_data.read_windows_jsonl(lines, source, first_lineno)]
+    out = []
+    for window in market_data.read_windows_jsonl(lines, source, first_lineno):
+        problem = None
+        try:
+            results = fitting.fit_window_all_models(window.samples, kinds=kinds)
+        except DataError as err:
+            results, problem = dict.fromkeys(kinds), f"{type(err).__name__}: {err}"
+        out.append((market_data.fit_row_to_dict(window, results), problem))
+    return out
 
 
 def run_fit(windows_path: Path, output_path: Path,
@@ -240,59 +186,17 @@ def run_fit(windows_path: Path, output_path: Path,
     with open(output_path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(strict_dumps(row) + "\n")
-    n_bad = sum(0 if all(m["converged"] for m in row["models"].values()) else 1
+    n_bad = sum(not all(m["converged"] for m in row["models"].values())
                 for row in rows)
     log.info("fit: %d windows, %d with a non-converged model", len(rows), n_bad)
     return rows
 
 
-def series_from_fit_rows(rows: list[dict], model: ModelKind,
-                         param: str = "phi") -> km_mod.ParamSeries:
-    """Time-ordered parameter series from fit rows.
-
-    Windows whose fit did not converge are dropped; every dropped window
-    or hole in the window grid records a gap, so increments never span
-    missing stretches.
-    """
-    rows = sorted(rows, key=lambda r: r["window_start"])
-    values, gaps = [], []
-    expected_next = None
-    for row in rows:
-        entry = row["models"].get(model.value)
-        start = row["window_start"]
-        step = row.get("window_len", 600.0)
-        contiguous = expected_next is not None and abs(start - expected_next) < 1e-9
-        if entry is not None and entry["converged"]:
-            if values and not contiguous:
-                gaps.append(len(values) - 1)
-            values.append(entry[param])
-        expected_next = start + step
-    if len(values) < 2:
-        raise DataError(f"fewer than 2 converged {model.value} fits")
-    return km_mod.ParamSeries(values=np.asarray(values), dt=1.0,
-                              gaps=np.asarray(gaps, dtype=int))
-
-
 def _series_from_args(args) -> km_mod.ParamSeries:
-    if getattr(args, "series", None):
-        path = Path(args.series)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            return km_mod.ParamSeries(values=doc["values"],
-                                      dt=float(doc.get("dt", 1.0)),
-                                      gaps=doc.get("gaps", []))
-        except (ValueError, KeyError, TypeError, AttributeError,
-                OverflowError, DomainError) as err:
-            raise DataError(f"{path}: {type(err).__name__}: {err}") from None
-    rows = _read_fit_rows(Path(args.input))
-    return series_from_fit_rows(rows, ModelKind(args.model), args.param)
-
-
-def _series_payload(series: km_mod.ParamSeries) -> dict:
-    return {"kind": "param-series",
-            "dt": series.dt,
-            "values": series.values.tolist(),
-            "gaps": series.gaps.tolist()}
+    if args.series:
+        return market_data.read_series(Path(args.series))
+    return market_data.fitted_series(market_data.read_fits_jsonl(args.input),
+                                     ModelKind(args.model), args.param)
 
 
 # -- report builders -------------------------------------------------------
@@ -436,16 +340,14 @@ def emit_plotdata(outdir: Path,
 
 # -- stages ----------------------------------------------------------------
 
-def _ingest(input_path: Path, output_path: Path, window_len: float,
-            session_filter: bool, min_companies: int,
-            column_map: dict[str, str] | None, jobs: int) -> None:
-    parsed = market_data.parse_quotes(input_path, column_map, window_len,
-                                      _worker_map(jobs))
+def _ingest(args, output_path: Path) -> None:
+    parsed = market_data.parse_quotes(args.input, args.column_map,
+                                      args.window_len, _worker_map(args.jobs))
     log.info("ingest: %d records, %d malformed rows",
              parsed.n_records, parsed.n_malformed)
     built = market_data.build_windows(
-        parsed.records, window_len=window_len,
-        session_filter=session_filter, min_companies=min_companies)
+        parsed.records, window_len=args.window_len,
+        session_filter=args.session_filter, min_companies=args.min_companies)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     with open(output_path, "w", encoding="utf-8") as fh:
         market_data.write_windows_jsonl(built.windows, fh)
@@ -455,20 +357,19 @@ def _ingest(input_path: Path, output_path: Path, window_len: float,
     log.info("ingest: dropped %d zero-volume quotes", built.n_zero_volume_dropped)
 
 
-def _km(series: km_mod.ParamSeries, n_bins: int, tau_max: int, min_count: int,
-        tau_range: tuple[int, int]) -> dict:
-    moments = km_mod.conditional_moments(series, n_bins=n_bins, tau_max=tau_max,
-                                         min_count=min_count)
-    return km_payload(moments, km_mod.km_estimate(moments, tau_range))
+def _km(series: km_mod.ParamSeries, args) -> dict:
+    moments = km_mod.conditional_moments(series, n_bins=args.n_bins,
+                                         tau_max=args.tau_max,
+                                         min_count=args.min_count)
+    return km_payload(moments, km_mod.km_estimate(moments, args.tau_fit))
 
 
-def _markov(series: km_mod.ParamSeries, n_bins: int, lag: int,
-            min_cell_count: int, surrogates: int, percentile: float,
-            seed: int) -> dict:
-    result = km_mod.markov_test(series, n_bins=n_bins, lag=lag,
-                                min_cell_count=min_cell_count,
-                                n_surrogates=surrogates,
-                                threshold_percentile=percentile, seed=seed)
+def _markov(series: km_mod.ParamSeries, args, n_bins: int) -> dict:
+    result = km_mod.markov_test(series, n_bins=n_bins, lag=args.lag,
+                                min_cell_count=args.min_cell_count,
+                                n_surrogates=args.surrogates,
+                                threshold_percentile=args.percentile,
+                                seed=args.seed)
     return {"distance": result.distance, "threshold": result.threshold,
             "pass": result.passed, "n_cells": result.n_cells}
 
@@ -476,9 +377,7 @@ def _markov(series: km_mod.ParamSeries, n_bins: int, lag: int,
 # -- subcommand drivers ----------------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    _ingest(Path(args.input), Path(args.output), args.window_len,
-            args.session_filter, args.min_companies, args.column_map,
-            args.jobs)
+    _ingest(args, Path(args.output))
     return 0
 
 
@@ -488,51 +387,44 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_summary(args) -> int:
-    rows = _read_fit_rows(Path(args.input))
+    rows = market_data.read_fits_jsonl(args.input)
     _write_json(Path(args.output), fitting.error_summary(rows, args.hist_bins))
     return 0
 
 
 def _cmd_km(args) -> int:
-    report = _km(_series_from_args(args), args.n_bins, args.tau_max,
-                 args.min_count, args.tau_fit)
-    _write_json(Path(args.output), report)
-    if args.plotdata:
-        emit_plotdata(Path(args.plotdata), km_report=report)
+    _write_json(Path(args.output), _km(_series_from_args(args), args))
     return 0
 
 
 def _cmd_markov(args) -> int:
-    _write_json(Path(args.output), _markov(
-        _series_from_args(args), args.n_bins, args.lag, args.min_cell_count,
-        args.surrogates, args.percentile, args.seed))
+    _write_json(Path(args.output),
+                _markov(_series_from_args(args), args, args.n_bins))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     out = Path(args.output)
-    if args.generator == "langevin":
-        spec = langevin.LangevinSpec(
-            dt=args.dt, n_steps=args.steps, initial=args.initial,
-            seed=args.seed, drift_slope=args.drift_slope,
-            fixed_point=args.fixed_point, diffusion=args.diffusion)
-        series = langevin.simulate_langevin(spec)
-        if args.noise_sigma > 0.0:
-            series = langevin.add_measurement_noise(series, args.noise_sigma,
-                                                    seed=args.seed + 1)
-        _write_json(out, _series_payload(series))
-    else:
-        spec = langevin.LangevinSpec(
-            dt=1.0, n_steps=args.windows, initial=args.initial,
-            seed=args.seed, drift_slope=args.drift_slope,
-            fixed_point=args.fixed_point, diffusion=args.diffusion)
+    market = args.generator == "market"
+    spec = langevin.LangevinSpec(
+        dt=1.0 if market else args.dt,
+        n_steps=args.windows if market else args.steps, initial=args.initial,
+        seed=args.seed, drift_slope=args.drift_slope,
+        fixed_point=args.fixed_point, diffusion=args.diffusion)
+    if market:
         sim = langevin.simulate_market(args.companies, args.windows, spec,
-                                       theta=args.theta, seed=args.seed)
+                                       seed=args.seed)
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
             market_data.write_windows_jsonl(sim.windows, fh)
         if args.truth:
-            _write_json(Path(args.truth), _series_payload(sim.truth))
+            _write_json(Path(args.truth), market_data.series_to_dict(sim.truth))
+    else:
+        series = langevin.simulate_langevin(spec)
+        if args.noise_sigma > 0.0:
+            series = langevin.add_measurement_noise(series, args.noise_sigma,
+                                                    seed=args.seed + 1)
+        _write_json(out, market_data.series_to_dict(series))
     return 0
 
 
@@ -547,19 +439,15 @@ def _cmd_pipeline(args) -> int:
     windows_path = Path(args.input)
     if not first.startswith("{"):
         windows_path = outdir / "windows.jsonl"
-        _ingest(Path(args.input), windows_path, args.window_len,
-                args.session_filter, args.min_companies, args.column_map,
-                args.jobs)
+        _ingest(args, windows_path)
 
     rows = run_fit(windows_path, outdir / "fits.jsonl", args.models, args.jobs)
     summary = fitting.error_summary(rows, args.hist_bins)
     _write_json(outdir / "summary.json", summary)
 
-    series = series_from_fit_rows(rows, ModelKind(args.model), args.param)
-    report = _km(series, args.n_bins, args.tau_max, args.min_count, args.tau_fit)
-    report["markov"] = _markov(series, args.markov_bins, args.lag,
-                               args.min_cell_count, args.surrogates,
-                               args.percentile, args.seed)
+    series = market_data.fitted_series(rows, ModelKind(args.model), args.param)
+    report = _km(series, args)
+    report["markov"] = _markov(series, args, args.markov_bins)
     _write_json(outdir / "km.json", report)
 
     if args.plotdata:
@@ -653,7 +541,6 @@ def build_parser() -> _Parser:
     _add_series_source(p)
     p.add_argument("--output", required=True)
     _add_km_options(p)
-    p.add_argument("--plotdata", default=None, help="directory for CSVs")
     p.set_defaults(func=_cmd_km)
 
     p = sub.add_parser("markov", help="two- vs three-point conditional test")
@@ -684,7 +571,6 @@ def build_parser() -> _Parser:
                    help="also write the true parameter series JSON here")
     g.add_argument("--companies", type=_COUNT, default=2000)
     g.add_argument("--windows", type=_COUNT, default=1000)
-    g.add_argument("--theta", type=float, default=1.0)
     g.add_argument("--initial", type=float, default=0.93)
     g.add_argument("--drift-slope", type=float, default=-0.05)
     g.add_argument("--fixed-point", type=float, default=0.93)
@@ -717,6 +603,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "pipeline" and ModelKind(args.model) not in args.models:
             parser.error(f"--model {args.model} is not among --models")
+        if args.command in ("km", "pipeline") and args.tau_fit[1] > args.tau_max:
+            parser.error(f"--tau-fit ends past --tau-max {args.tau_max}")
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

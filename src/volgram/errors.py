@@ -41,7 +41,7 @@ class UnreadableInput(DataError):
 
 
 class MalformedLine(DataError):
-    """A JSON-lines line is not a record of its file's format."""
+    """A JSON-lines line or a series file is not a record of its format."""
 
 
 class AllWindowsFiltered(DataError):

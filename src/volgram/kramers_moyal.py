@@ -12,41 +12,12 @@ amplitude sqrt(a2 / 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AllBinsUnderpopulated, DomainError, InsufficientTauPoints,
-                     SeriesTooShort)
-
-
-@dataclass(frozen=True)
-class ParamSeries:
-    """Fitted parameter values sampled every ``dt``.
-
-    ``gaps`` lists indices i such that a market-closed break (or any
-    other discontinuity) separates values[i] and values[i+1]; increments
-    spanning such a step never enter moment estimation.
-    """
-    values: np.ndarray
-    dt: float = 1.0
-    gaps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        gaps = np.asarray(self.gaps)
-        if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
-            raise DomainError("values must be a non-empty list of finite numbers")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise DomainError(f"dt must be a finite number above 0, got {self.dt}")
-        if gaps.ndim != 1 or gaps.dtype.kind not in "iuf" or not np.all(
-                (gaps == np.floor(gaps)) & (gaps >= 0) & (gaps <= values.size - 2)):
-            raise DomainError(f"gaps must be integers in [0, {values.size - 2}]")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "gaps", gaps.astype(int))
-
-    def __len__(self) -> int:
-        return self.values.size
+from .errors import AllBinsUnderpopulated, InsufficientTauPoints, SeriesTooShort
+from .market_data import ParamSeries
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import ModelKind, ModelParams
 from .errors import DomainError
-from .kramers_moyal import ParamSeries
-from .market_data import SnapshotWindow
+from .market_data import ParamSeries, SnapshotWindow
 
 _MIN_MARKET_PHI = 0.05
 
@@ -89,26 +88,23 @@ def add_measurement_noise(series: ParamSeries, sigma_m: float,
 
 
 def simulate_market(n_companies: int, n_windows: int,
-                    phi_process: LangevinSpec, theta: float, seed: int,
+                    phi_process: LangevinSpec, seed: int,
                     window_len: float = 600.0) -> MarketSim:
     """Inverse-gamma market driven by a stochastic tail parameter.
 
-    Window t draws n_companies volume-prices from
-    InverseGamma(phi(t), theta) and normalizes them by their mean; the
-    clamped phi trajectory is returned for oracle comparisons.  Each
-    window consumes an independent substream of the seed, so any window
-    is reproducible on its own.
+    Window t draws n_companies volume-prices from InverseGamma(phi(t), 1)
+    and normalizes them by their mean; the clamped phi trajectory is
+    returned for oracle comparisons.  Each window consumes an independent
+    substream of the seed, so any window is reproducible on its own.
     """
     if n_companies < 1 or n_windows < 1:
         raise DomainError("n_companies and n_windows must be >= 1")
-    if theta <= 0.0:
-        raise DomainError("theta must be positive")
     proc = dataclasses.replace(phi_process, n_steps=n_windows)
     truth = simulate_langevin(proc)
     phis = np.maximum(truth.values, _MIN_MARKET_PHI)
     windows = []
     for t in range(n_windows):
-        raw = dist.sample(ModelParams(ModelKind.INVERSE_GAMMA, float(phis[t]), theta),
+        raw = dist.sample(ModelParams(ModelKind.INVERSE_GAMMA, float(phis[t]), 1.0),
                           n_companies, seed=[seed, t])
         mean_s = float(raw.mean())
         windows.append(SnapshotWindow(

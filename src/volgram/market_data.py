@@ -1,4 +1,5 @@
-"""Quote ingestion, volume-price windowing, and the JSON-lines window format.
+"""Quote ingestion, volume-price windowing, and volgram's three JSON input
+formats: windows JSONL, fits JSONL and the parameter-series JSON.
 
 A quote file is a CSV with one row per (timestamp, company) carrying the
 last trade price and interval volume.  Rows are grouped into fixed-width
@@ -7,7 +8,8 @@ its last quote, the volume-price s = p * V is formed, zero-volume
 entries are dropped, and the remaining values are normalized by their
 cross-sectional mean.  Parsing keeps only the last quote of each window
 and company as it reads, so memory grows with windows times companies,
-not with rows.
+not with rows.  Each JSON format has one writer (``*_to_dict``) and
+one check (``*_from_dict``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, time, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -24,8 +26,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import (AllWindowsFiltered, EmptyInput, MalformedLine,
-                     MissingColumn, TooManyMalformed, reading)
+from .errors import (AllWindowsFiltered, DataError, DomainError, EmptyInput,
+                     MalformedLine, MissingColumn, TooManyMalformed, reading)
 
 FORMAT_VERSION = 1
 
@@ -55,6 +57,36 @@ class SnapshotWindow:
     mean_s: float             # <s> of the raw volume-prices
     std_s: float              # population std of the raw volume-prices
     n_companies: int
+
+
+@dataclass(frozen=True)
+class ParamSeries:
+    """Fitted parameter values sampled every ``dt``.
+
+    ``gaps`` lists indices i such that a market-closed break (or any
+    other discontinuity) separates values[i] and values[i+1]; increments
+    spanning such a step never enter moment estimation.  The values must
+    pass the array rule and ``dt`` the number rule above 0.
+    """
+    values: np.ndarray
+    dt: float = 1.0
+    gaps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+
+    def __post_init__(self):
+        try:
+            values = np.asarray(_finite_array(self.values, "values"), dtype=float)
+            _finite(self.dt, "dt", above=0.0)
+        except ValueError as err:
+            raise DomainError(str(err)) from None
+        gaps = np.asarray(self.gaps)
+        if gaps.ndim != 1 or gaps.dtype.kind not in "iuf" or not np.all(
+                (gaps == np.floor(gaps)) & (gaps >= 0) & (gaps <= values.size - 2)):
+            raise DomainError(f"gaps must be integers in [0, {values.size - 2}]")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "gaps", gaps.astype(int))
+
+    def __len__(self) -> int:
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -353,6 +385,36 @@ def build_windows(records: Iterable[QuoteRecord], window_len: float = 600.0,
                             n_zero_volume_dropped=n_zero_vol)
 
 
+def _finite(value, name: str, above: float = -math.inf, integer: bool = False):
+    """The number rule: ``value`` as a float (an int if ``integer``) if it
+    is a JSON number, not a string or boolean, that is finite, above
+    ``above`` and, if ``integer``, integral; else ``ValueError``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > above)
+            or integer and value % 1):
+        rule = "" if above == -math.inf else f" above {above:g}"
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind}{rule}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _finite_array(value, name: str, above: float = -math.inf) -> np.ndarray:
+    """The array rule: ``np.asarray(value)`` if it is 1-D, non-empty, of integer
+    or float kind, and finite and above ``above``; else ``ValueError``."""
+    a = np.asarray(value)
+    if (a.dtype.kind not in "iuf" or a.ndim != 1 or a.size == 0
+            or not np.all(np.isfinite(a) & (a > above))):
+        rule = "" if above == -math.inf else f" above {above:g}"
+        raise ValueError(f"{name} must be a non-empty list of finite numbers{rule}")
+    return a
+
+
+def _check_version(d: dict) -> None:
+    version = _finite(d.get("format_version", 1), "format_version", integer=True)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version}")
+
+
 def window_to_dict(w: SnapshotWindow) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -367,33 +429,109 @@ def window_to_dict(w: SnapshotWindow) -> dict:
 
 def window_from_dict(d: dict) -> SnapshotWindow:
     """A window from its JSON object; raises ``ValueError`` unless its
-    samples are a non-empty list of finite numbers above 0, one per
-    company, its ``window_start`` is a finite number, and its
-    ``window_len`` is a finite number above 0."""
-    version = d.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported window format_version {version}")
+    numbers pass the number rule and its samples the array rule, above 0
+    and one per company."""
+    _check_version(d)
     w = SnapshotWindow(
-        window_start=float(d["window_start"]),
-        window_len=float(d["window_len"]),
-        samples=np.asarray(d["samples"], dtype=float),
-        mean_s=float(d["mean_s"]),
-        std_s=float(d["std_s"]),
-        n_companies=int(d["n_companies"]),
+        window_start=_finite(d["window_start"], "window_start"),
+        window_len=_finite(d["window_len"], "window_len", above=0.0),
+        samples=_finite_array(d["samples"], "samples", above=0.0),
+        mean_s=_finite(d["mean_s"], "mean_s", above=0.0),
+        std_s=_finite(d["std_s"], "std_s"),
+        n_companies=_finite(d["n_companies"], "n_companies", integer=True),
     )
-    s = w.samples
-    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s) & (s > 0)):
-        raise ValueError("samples must be a non-empty list of finite numbers "
-                         "above 0")
-    if w.n_companies != s.size:
-        raise ValueError(f"n_companies {w.n_companies} but {s.size} samples")
-    if not math.isfinite(w.window_start):
-        raise ValueError(f"window_start must be a finite number, "
-                         f"got {w.window_start}")
-    if not (math.isfinite(w.window_len) and w.window_len > 0):
-        raise ValueError(f"window_len must be a finite number above 0, "
-                         f"got {w.window_len}")
+    if w.n_companies != w.samples.size:
+        raise ValueError(f"n_companies {w.n_companies} but {w.samples.size} samples")
     return w
+
+
+# FitResult fields stored in a fit row, after phi and theta
+_FIT_FIELDS = ("rel_err_phi", "rel_err_theta", "rss", "converged", "iterations")
+
+
+def fit_row_to_dict(window: SnapshotWindow, results: dict) -> dict:
+    """The fit row of a window from its ``{ModelKind: FitResult}``; a model
+    whose result is ``None`` was not fitted and is written as failed."""
+    failed = {**dict.fromkeys(("phi", "theta", *_FIT_FIELDS)),
+              "converged": False, "iterations": 0}
+    models = {kind.value: failed if fr is None else
+              {"phi": fr.params.phi, "theta": fr.params.theta,
+               **{key: getattr(fr, key) for key in _FIT_FIELDS}}
+              for kind, fr in results.items()}
+    return {"format_version": FORMAT_VERSION,
+            "window_start": window.window_start,
+            "window_len": window.window_len,
+            "n_companies": window.n_companies,
+            "models": models}
+
+
+def fit_row_from_dict(row) -> dict:
+    """A fit row from its JSON value; raises ``ValueError`` unless every
+    field that summary, km and markov read is valid."""
+    if not isinstance(row, dict) or not isinstance(row.get("models"), dict):
+        raise ValueError('not a JSON object with a "models" object')
+    _check_version(row)
+    _finite(row["window_start"], "window_start")
+    if "window_len" in row:
+        _finite(row["window_len"], "window_len", above=0.0)
+    for name, entry in row["models"].items():
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("converged"), bool)):
+            raise ValueError(f"model {name!r} has no boolean converged")
+        if entry["converged"]:
+            for key in ("phi", "theta", "rel_err_phi", "rel_err_theta"):
+                _finite(entry[key], key)
+    return row
+
+
+def read_fits_jsonl(path) -> list[dict]:
+    """The checked rows of a fits JSONL file; a file with none is a data error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = list(read_jsonl(fh, path, fit_row_from_dict))
+    if not rows:
+        raise EmptyInput(f"no fit rows in {path}")
+    return rows
+
+
+def fitted_series(rows: list[dict], model, param: str = "phi") -> ParamSeries:
+    """Time-ordered series of one ``ModelKind``'s parameter from fit rows.
+
+    Windows whose fit did not converge are dropped; every dropped window
+    or hole in the window grid records a gap, so increments never span
+    missing stretches.
+    """
+    values, gaps, expected_next = [], [], None
+    for row in sorted(rows, key=lambda r: r["window_start"]):
+        entry = row["models"].get(model.value)
+        if entry is not None and entry["converged"]:
+            if values and not abs(row["window_start"] - expected_next) < 1e-9:
+                gaps.append(len(values) - 1)
+            values.append(entry[param])
+        expected_next = row["window_start"] + row.get("window_len", 600.0)
+    if len(values) < 2:
+        raise DataError(f"fewer than 2 converged {model.value} fits")
+    return ParamSeries(values=np.asarray(values), dt=1.0,
+                       gaps=np.asarray(gaps, dtype=int))
+
+
+def series_to_dict(series: ParamSeries) -> dict:
+    return {"format_version": FORMAT_VERSION, "kind": "param-series",
+            "dt": series.dt, "values": series.values.tolist(),
+            "gaps": series.gaps.tolist()}
+
+
+def series_from_dict(d: dict) -> ParamSeries:
+    """A series from its JSON object; ``ParamSeries`` checks the fields."""
+    _check_version(d)
+    return ParamSeries(values=d["values"], dt=d.get("dt", 1.0),
+                       gaps=d.get("gaps", []))
+
+
+def read_series(path) -> ParamSeries:
+    """The checked series of a parameter-series JSON file."""
+    with reading(path):
+        return _decode(Path(path).read_text(encoding="utf-8"),
+                       series_from_dict, path)
 
 
 def strict_dumps(obj) -> str:
@@ -412,22 +550,26 @@ def write_windows_jsonl(windows, fh) -> None:
         fh.write(strict_dumps(window_to_dict(w)) + "\n")
 
 
+def _decode(text: str, decode, source, lineno=None):
+    """``decode(json.loads(text))``; a text either call rejects raises
+    ``MalformedLine`` naming ``source`` and, if given, ``lineno``."""
+    try:
+        record = json.loads(text)
+        del text    # a series file is megabytes: free it before decoding
+        return decode(record)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            DomainError) as err:
+        where = source if lineno is None else f"{source} line {lineno}"
+        raise MalformedLine(f"{where}: {type(err).__name__}: {err}") from None
+
+
 def read_jsonl(lines, source, decode, first_lineno=1):
-    """``decode(json.loads(line))`` of each non-blank line, numbered from
-    ``first_lineno``. A line either call rejects raises ``MalformedLine``
-    naming ``source`` and line; non-UTF-8 text raises ``UnreadableInput``."""
+    """``_decode`` of each non-blank line, numbered from ``first_lineno``;
+    non-UTF-8 text raises ``UnreadableInput``."""
     with reading(source):
         for lineno, line in enumerate(lines, start=first_lineno):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = decode(json.loads(line))
-            except (ValueError, KeyError, TypeError, AttributeError,
-                    OverflowError) as err:
-                raise MalformedLine(f"{source} line {lineno}: "
-                                    f"{type(err).__name__}: {err}") from None
-            yield record
+            if line := line.strip():
+                yield _decode(line, decode, source, lineno)
 
 
 def read_windows_jsonl(fh, source=None, first_lineno=1) -> list[SnapshotWindow]:

@@ -405,7 +405,7 @@ def test_criterion_7_end_to_end_pipeline():
     proc = LangevinSpec(dt=1.0, n_steps=1, initial=_OU_FP, seed=2024,
                         drift_slope=-_OU_K, fixed_point=_OU_FP,
                         diffusion=2e-4)
-    sim = simulate_market(2000, 10**4, proc, theta=1.0, seed=2024)
+    sim = simulate_market(2000, 10**4, proc, seed=2024)
     t_sim = time.perf_counter() - t0
 
     values, gaps = [], []

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from volgram.cli import _pool_size, _worker_map, emit_plotdata, main
+from volgram.kramers_moyal import (ParamSeries, conditional_moments,
+                                   km_estimate)
 from volgram.market_data import SnapshotWindow, write_windows_jsonl
 
 NY = ZoneInfo("America/New_York")
@@ -364,8 +366,12 @@ _SERIES_VALUES = '"values": [' + ", ".join(["0.9", "0.91", "0.93"] * 200) + "]"
     "{" + _SERIES_VALUES + ', "gaps": [-1]}',
     "{" + _SERIES_VALUES + ', "gaps": [1.5]}',
     '{"values": [[1, 2], [3, 4]]}',
+    "{" + _SERIES_VALUES + ', "dt": "2"}',
+    "{" + _SERIES_VALUES + ', "dt": true}',
+    '{"values": [' + ", ".join(['"0.9"', '"0.91"', '"0.93"'] * 200) + "]}",
 ], ids=["truncated", "no-values", "not-object", "gap-past-end", "negative-gap",
-        "fractional-gap", "nested-values"])
+        "fractional-gap", "nested-values", "text-dt", "boolean-dt",
+        "text-values"])
 def test_malformed_series_is_data_error(tmp_path, capsys, stage, text):
     path = tmp_path / "series.json"
     path.write_text(text)
@@ -421,6 +427,7 @@ def _fit_line(models, **fields):
                  id="text-phi"),
     pytest.param(_fit_line({"inverse-gamma": {**_FIT, "rel_err_phi": 1e999}}),
                  id="infinite-rel-err"),
+    pytest.param(_fit_line({}, format_version=2), id="format-version-2"),
 ])
 def test_json_line_that_is_not_a_fit_row_is_data_error(tmp_path, capsys,
                                                       stage, line):
@@ -491,6 +498,70 @@ def test_bad_tau_range_is_usage_error(tmp_path):
     rc = main(["km", "--input", str(fits), "--output",
                str(tmp_path / "km.json"), "--tau-fit", "nonsense"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("tau", [["--tau-fit", "3:1"], ["--tau-fit", "0:3"],
+                                 ["--tau-fit", "1:9", "--tau-max", "5"]],
+                         ids=" ".join)
+def test_tau_range_is_checked_while_parsing(tmp_path, capsys, tau):
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "20000", "--seed", "4"]) == 0
+    output = tmp_path / "km.json"
+    capsys.readouterr()
+    assert main(["km", "--series", str(series), "--output", str(output),
+                 "--n-bins", "20", "--min-count", "50"] + tau) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not output.exists()
+
+
+def test_pipeline_tau_range_past_tau_max_is_usage_error(tmp_path, capsys):
+    out, _ = _simulate_market_files(tmp_path, windows=12, companies=30)
+    pipe_dir = tmp_path / "pipe"
+    capsys.readouterr()
+    rc = main(["pipeline", "--input", str(out), "--outdir", str(pipe_dir),
+               "--tau-fit", "1:9", "--tau-max", "5", "--jobs", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (pipe_dir / "fits.jsonl").exists()
+
+
+def test_km_and_pipeline_on_theta(tmp_path):
+    out, _ = _simulate_market_files(tmp_path)
+    fits = tmp_path / "fits.jsonl"
+    assert main(["fit", "--input", str(out), "--output", str(fits),
+                 "--models", "inverse-gamma", "--jobs", "1"]) == 0
+    rows = sorted((json.loads(line) for line in fits.read_text().splitlines()),
+                  key=lambda row: row["window_start"])
+    entries = [row["models"]["inverse-gamma"] for row in rows]
+    # every window fitted and the grid has no hole, so the series has no gap
+    assert all(entry["converged"] for entry in entries)
+    assert np.allclose(np.diff([row["window_start"] for row in rows]), 600.0)
+    series = ParamSeries(values=np.array([entry["theta"] for entry in entries]))
+    moments = conditional_moments(series, n_bins=5, tau_max=5, min_count=10)
+    want = km_estimate(moments, (1, 3))
+
+    km_doc = tmp_path / "km.json"
+    opts = ["--param", "theta", "--n-bins", "5", "--tau-max", "5",
+            "--tau-fit", "1:3", "--min-count", "10"]
+    assert main(["km", "--input", str(fits), "--output", str(km_doc)] + opts) == 0
+    got = json.loads(km_doc.read_text())
+    for key, value in (("bins", want.bin_centers), ("counts", want.counts),
+                       ("D1", want.d1), ("D2", want.d2), ("a2", want.a2),
+                       ("drift_slope", want.drift_slope),
+                       ("phi_f", want.fixed_point),
+                       ("noise_sigma", want.noise_sigma)):
+        assert np.array_equal(np.asarray(got[key], dtype=float), value,
+                              equal_nan=True), key
+
+    pipe_dir = tmp_path / "pipe"
+    assert main(["pipeline", "--input", str(out), "--outdir", str(pipe_dir),
+                 "--models", "inverse-gamma", "--markov-bins", "4",
+                 "--min-cell-count", "5", "--jobs", "1"] + opts) == 0
+    pipe_km = json.loads((pipe_dir / "km.json").read_text())
+    assert pipe_km.pop("markov") is not None
+    assert got.pop("markov") is None
+    assert pipe_km == got
 
 
 def test_pipeline_matches_individual_stages(tmp_path):

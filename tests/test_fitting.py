@@ -208,7 +208,7 @@ def test_heavy_tailed_market_window_fits_inverse_gamma():
     # variance stalled there at phi 1.41, rss 666
     spec = LangevinSpec(dt=1.0, n_steps=40, initial=0.93, seed=119,
                         drift_slope=-0.2, fixed_point=0.93, diffusion=2e-4)
-    sim = simulate_market(2000, 40, spec, theta=1.0, seed=119)
+    sim = simulate_market(2000, 40, spec, seed=119)
     phi_true = float(sim.truth.values[14])
     result = fit_window_all_models(sim.windows[14], kinds=(INV_GAMMA,))[INV_GAMMA]
     assert result.converged, result.message
@@ -223,7 +223,7 @@ def test_stalled_start_is_never_converged():
     # once called that converged
     spec = LangevinSpec(dt=1.0, n_steps=40, initial=0.93, seed=119,
                         drift_slope=-0.2, fixed_point=0.93, diffusion=2e-4)
-    window = simulate_market(2000, 40, spec, theta=1.0, seed=119).windows[14]
+    window = simulate_market(2000, 40, spec, seed=119).windows[14]
     guess = ModelParams(INV_GAMMA, 2.0005004302798013, 1.0005004302798006)
     result = fit_cdf(INV_GAMMA, empirical_cdf(window.samples), guess)
     assert not (result.converged and result.rss > 1.0), result
@@ -232,7 +232,7 @@ def test_stalled_start_is_never_converged():
 def _market_windows(companies, windows, seed):
     spec = LangevinSpec(dt=1.0, n_steps=windows, initial=0.93, seed=seed,
                         drift_slope=-0.2, fixed_point=0.93, diffusion=2e-4)
-    return simulate_market(companies, windows, spec, theta=1.0, seed=seed).windows
+    return simulate_market(companies, windows, spec, seed=seed).windows
 
 
 def test_far_trial_is_rejected_not_raised():

@@ -113,7 +113,7 @@ def test_convention_round_trip_pure_diffusion():
 def test_market_windows_shape_and_truth():
     spec = LangevinSpec(dt=1.0, n_steps=1, initial=0.9, seed=1,
                         drift_slope=-0.05, fixed_point=0.9, diffusion=1e-6)
-    sim = simulate_market(50, 1, spec, theta=1.0, seed=2)
+    sim = simulate_market(50, 1, spec, seed=2)
     assert len(sim.windows) == 1
     assert sim.truth.gaps.size == 0
     w = sim.windows[0]
@@ -124,8 +124,8 @@ def test_market_windows_shape_and_truth():
 def test_market_determinism_and_substreams():
     spec = LangevinSpec(dt=1.0, n_steps=3, initial=0.9, seed=1,
                         drift_slope=-0.05, fixed_point=0.9, diffusion=1e-5)
-    a = simulate_market(40, 3, spec, theta=1.0, seed=9)
-    b = simulate_market(40, 3, spec, theta=1.0, seed=9)
+    a = simulate_market(40, 3, spec, seed=9)
+    b = simulate_market(40, 3, spec, seed=9)
     for wa, wb in zip(a.windows, b.windows):
         assert np.array_equal(wa.samples, wb.samples)
     # windows use distinct substreams
@@ -135,7 +135,7 @@ def test_market_determinism_and_substreams():
 def test_market_phi_clamped():
     spec = LangevinSpec(dt=1.0, n_steps=20, initial=0.02, seed=4,
                         drift_slope=-0.01, fixed_point=0.02, diffusion=1e-8)
-    sim = simulate_market(30, 20, spec, theta=1.0, seed=5)
+    sim = simulate_market(30, 20, spec, seed=5)
     assert np.all(sim.truth.values >= 0.05)
 
 
@@ -144,7 +144,7 @@ def test_market_fit_recovers_constant_phi():
     phi_true = 1.2
     spec = LangevinSpec(dt=1.0, n_steps=100, initial=phi_true, seed=6,
                         drift_slope=-0.05, fixed_point=phi_true, diffusion=0.0)
-    sim = simulate_market(800, 100, spec, theta=1.0, seed=7)
+    sim = simulate_market(800, 100, spec, seed=7)
     fitted = []
     for w in sim.windows:
         res = fit_cdf(ModelKind.INVERSE_GAMMA, empirical_cdf(w.samples),
@@ -161,6 +161,4 @@ def test_market_rejects_bad_arguments():
     spec = LangevinSpec(dt=1.0, n_steps=1, initial=0.9, seed=1,
                         drift_slope=-0.05, fixed_point=0.9, diffusion=1e-6)
     with pytest.raises(DomainError):
-        simulate_market(0, 5, spec, theta=1.0, seed=1)
-    with pytest.raises(DomainError):
-        simulate_market(5, 5, spec, theta=0.0, seed=1)
+        simulate_market(0, 5, spec, seed=1)

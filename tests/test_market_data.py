@@ -517,8 +517,11 @@ def test_window_format_version_checked():
     {"samples": [float("nan"), 1.0]}, {"samples": [float("inf"), 1.0]},
     {"samples": 3}, {"samples": []}, {"n_companies": 7},
     {"window_len": 0.0}, {"window_len": float("nan")},
+    {"n_companies": 2.5}, {"window_start": "600"}, {"window_len": True},
+    {"mean_s": float("nan")}, {"samples": ["0.5", "1.5"]},
 ], ids=["zero", "negative", "nan", "inf", "number", "empty", "n-companies",
-        "zero-len", "nan-len"])
+        "zero-len", "nan-len", "fractional-n-companies", "text-start",
+        "boolean-len", "nan-mean", "text-samples"])
 def test_invalid_window_rejected(change):
     d = window_to_dict(build_windows(
         _records_one_window([(1.0, 2.0), (3.0, 4.0)]),
