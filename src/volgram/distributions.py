@@ -293,7 +293,8 @@ def _check_params(params: ModelParams) -> None:
 
 
 def _check_support(s: np.ndarray) -> None:
-    if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
+    # a NaN fails both comparisons
+    if s.size and not (s.min() > 0.0 and s.max() < math.inf):
         raise DomainError("model support is s > 0")
 
 
@@ -333,7 +334,7 @@ def cdf_grid(kind: ModelKind, phis, thetas, s) -> np.ndarray:
     if phi_col.shape != theta_col.shape:
         raise DomainError("phis and thetas must have equal length")
     model = _MODELS[kind]
-    if np.any(theta_col <= 0.0) or (model.phi_positive and np.any(phi_col <= 0.0)):
+    if (theta_col <= 0.0).any() or (model.phi_positive and (phi_col <= 0.0).any()):
         raise DomainError(f"invalid parameters for {kind}")
     arr = np.asarray(s, dtype=float).reshape(1, -1)
     _check_support(arr)

@@ -400,10 +400,13 @@ def _finite(value, name: str, above: float = -math.inf, integer: bool = False):
 
 def _finite_array(value, name: str, above: float = -math.inf) -> np.ndarray:
     """The array rule: ``np.asarray(value)`` if it is 1-D, non-empty, of integer
-    or float kind, and finite and above ``above``; else ``ValueError``."""
+    or float kind, with no boolean in a list, and finite and above
+    ``above``; else ``ValueError``."""
     a = np.asarray(value)
     if (a.dtype.kind not in "iuf" or a.ndim != 1 or a.size == 0
-            or not np.all(np.isfinite(a) & (a > above))):
+            or not np.all(np.isfinite(a) & (a > above))
+            # numpy reads [true, 0.5] as [1.0, 0.5]
+            or isinstance(value, list) and bool in map(type, value)):
         rule = "" if above == -math.inf else f" above {above:g}"
         raise ValueError(f"{name} must be a non-empty list of finite numbers{rule}")
     return a
@@ -496,9 +499,9 @@ def read_fits_jsonl(path) -> list[dict]:
 def fitted_series(rows: list[dict], model, param: str = "phi") -> ParamSeries:
     """Time-ordered series of one ``ModelKind``'s parameter from fit rows.
 
-    Windows whose fit did not converge are dropped; every dropped window
-    or hole in the window grid records a gap, so increments never span
-    missing stretches.
+    Windows whose fit did not converge are dropped; a kept window that
+    does not start where the previous kept one ended records a gap, so
+    increments never span a dropped window or a hole in the window grid.
     """
     values, gaps, expected_next = [], [], None
     for row in sorted(rows, key=lambda r: r["window_start"]):
@@ -507,7 +510,7 @@ def fitted_series(rows: list[dict], model, param: str = "phi") -> ParamSeries:
             if values and not abs(row["window_start"] - expected_next) < 1e-9:
                 gaps.append(len(values) - 1)
             values.append(entry[param])
-        expected_next = row["window_start"] + row.get("window_len", 600.0)
+            expected_next = row["window_start"] + row.get("window_len", 600.0)
     if len(values) < 2:
         raise DataError(f"fewer than 2 converged {model.value} fits")
     return ParamSeries(values=np.asarray(values), dt=1.0,

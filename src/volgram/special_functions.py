@@ -4,13 +4,17 @@ Everything here is plain numpy so that a whole empirical-CDF grid can be
 evaluated in one call.  The incomplete gamma sums the series for P when
 ``x < max(a + 1, 10)`` and the continued fraction (modified Lentz) for Q
 otherwise, both iterated to 1e-15 with a cap of 500 terms, and takes
-the other function as one minus it.  The split at a + 1 alone would
-minimise the number of terms; below x = 10 the series still needs fewer
-numpy operations, which is what a call costs.  Accuracy is absolute,
-about 1e-15: a small Q with a + 1 <= x < 10 is 1 - P and carries P's
-absolute error, not a relative one.  Log-gamma
-and the error function are the standard library's ``math.lgamma`` and
-``math.erf``, applied elementwise.
+the other function as one minus it.  The series runs once per shape, as
+a scalar recurrence at the row's largest point xm, and each point's sum
+is then a polynomial in x/xm taken in blocks of 8 terms: one matrix
+product and a Horner pass, a fixed handful of numpy calls per row.  So
+the points of one shape form a row, and a value's last bits depend on
+that row's xm.  The split at a + 1 alone would minimise the number of
+terms; below x = 10 the series still needs fewer numpy operations,
+which is what a call costs.  Accuracy is absolute, about 1e-15: a small
+Q with a + 1 <= x < 10 is 1 - P and carries P's absolute error, not a
+relative one.  Log-gamma and the error function are the standard
+library's ``math.lgamma`` and ``math.erf``, applied elementwise.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def ln_gamma(x):
     """Natural log of the gamma function for finite x > 0,
     ``math.lgamma`` over each element."""
     arr, scalar = _as_array(x)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
     with np.errstate(over="ignore"):
         out = np.asarray(_MATH_LGAMMA(arr), dtype=float)
@@ -64,50 +68,84 @@ def _take(v, index):
     return v[index] if isinstance(v, np.ndarray) else v
 
 
-def _inc_gamma_series(a, x: np.ndarray):
-    """Ascending series for P(a, x), x < max(a + 1, 10), 8 terms per step.
+def _series_row(a: float, x: np.ndarray, lng: float) -> np.ndarray:
+    """P(a, x) for one shape ``a`` over a row 0 < x < max(a + 1, 10).
 
-    ``a`` is one float shared by every element of ``x``, or an array
-    like ``x``.  Yields the converged mask and the partial sums; sending
-    an index array compacts the working arrays to those entries.
-    Overshooting a converged element only shrinks its (already
-    negligible) terms.
+    The ascending series sum_k t_k(x), t_0 = 1/a, t_k = t_(k-1) x/(a + k),
+    runs as a scalar recurrence at xm, the row's largest point, until a
+    term falls below 1e-15 of the sum, tested every 8 terms (its terms
+    fall faster at every smaller x).  With u = x/xm each element's sum is
+    the polynomial sum_k t_k(xm) u^k, taken in blocks of 8 terms: one
+    product of the (J, 8) coefficients with the powers u^0..u^7, then
+    Horner in u^8 over the J block sums.  Every coefficient is at most
+    the largest term and u <= 1, so nothing overflows.  ``lng`` is
+    ln(gamma(a)).  A value's last bits depend on xm, so the row, not the
+    element, is the unit of evaluation.
     """
+    xm = float(x.max())
     ap = a
-    term = np.full_like(x, 1.0) / a
-    total = term.copy()
-    while True:
+    term = 1.0 / a
+    total = term
+    terms = [term]
+    for _ in range(_MAX_ITER // 8):
         for _ in range(8):
-            ap = ap + 1.0
-            term *= x / ap
+            ap += 1.0
+            term *= xm / ap
             total += term
+            terms.append(term)
         # x > 0 and a > 0, so every term and sum is positive
-        keep = yield term < total * _TOL, total
-        if keep is not None:
-            x, ap, term, total = x[keep], _take(ap, keep), term[keep], total[keep]
+        if term < total * _TOL:
+            break
+    else:
+        raise NonConvergence("incomplete gamma series hit the iteration cap")
+    # 8 J + 1 terms, padded with zeros to J + 1 whole blocks
+    coef = np.zeros(-(-len(terms) // 8) * 8)
+    coef[:len(terms)] = terms
+    powers = np.empty((8, x.size))
+    powers[0] = 1.0
+    u = np.divide(x, xm, out=powers[1])
+    for i in range(2, 8):
+        np.multiply(powers[i - 1], u, out=powers[i])
+    u8 = powers[7] * u
+    coef = coef.reshape(-1, 8)
+    blocks = np.empty((len(coef), x.size))
+    # OpenBLAS hands a product of about 1e6 multiply-adds to its thread
+    # pool; column slices of at most 2**19 multiply-adds stay on this one
+    width = max(1, 2**16 // len(coef))
+    for i in range(0, x.size, width):
+        np.matmul(coef, powers[:, i:i + width], out=blocks[:, i:i + width])
+    p = blocks[-1]
+    for block in blocks[-2::-1]:
+        p *= u8
+        p += block
+    return p * np.exp(-x + a * np.log(x) - lng)
 
 
-def _inc_gamma_cf(a, x: np.ndarray):
-    """Continued fraction (modified Lentz) for Q(a, x), x >= max(a + 1, 10).
+def _inc_gamma_cf(a, x: np.ndarray, lng) -> np.ndarray:
+    """Q(a, x) by continued fraction (modified Lentz), x >= max(a + 1, 10).
 
-    Below x = 10 the series serves even for x >= a + 1, because it needs
-    fewer numpy operations there; Q is then 1 - P, accurate to about
-    1e-15 absolute but not relative.  Same protocol and ``a`` as
-    ``_inc_gamma_series``.  Extra Lentz
-    iterations past convergence are stable (delta stays 1), so testing
-    only at the end of each step is safe.  Lentz's guards against a zero
-    d or c are left out, because for x >= a + 1 neither comes near zero:
-    for a < 1 this is the even part of a Stieltjes fraction with positive
-    coefficients, and over 4e5 pairs with a in [1e-3, 3e3] and x from
-    a + 1 to 1e3 (a + 1) no d fell below 3.5 and no c below 4.
+    ``a`` and ``lng``, ln(gamma(a)) precomputed by the caller, are floats
+    or arrays like ``x``.  Each element is taken at the first block of 8
+    iterations that converges it, and converged elements are compacted
+    out of the working set, so long input vectors do not pay for their
+    slowest entry.  Extra Lentz iterations past convergence are stable
+    (delta stays 1), so testing only at the end of each block is safe.
+    Lentz's guards against a zero d or c are left out, because for
+    x >= a + 1 neither comes near zero: for a < 1 this is the even part
+    of a Stieltjes fraction with positive coefficients, and over 4e5
+    pairs with a in [1e-3, 3e3] and x from a + 1 to 1e3 (a + 1) no d fell
+    below 3.5 and no c below 4.
     """
+    out = np.empty_like(x)
+    scale = np.exp(-x + a * np.log(x) - lng)
+    idx = np.arange(x.size)
     # here x >= a + 1, so b starts at 2 or above
     b = x + 1.0 - a
     c = np.full_like(b, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
     i = 0
-    while True:
+    for _ in range(_MAX_ITER // 8):
         for _ in range(8):
             i += 1
             an = -i * (i - a)
@@ -119,35 +157,16 @@ def _inc_gamma_cf(a, x: np.ndarray):
             np.divide(1.0, d, out=d)
             delta = d * c
             h *= delta
-        keep = yield np.abs(delta - 1.0) < _TOL, h
-        if keep is not None:
-            a, b, c, d, h = _take(a, keep), b[keep], c[keep], d[keep], h[keep]
-
-
-def _sum_to_convergence(terms, a, x: np.ndarray, lng, message: str) -> np.ndarray:
-    """Run the recurrence ``terms`` on (a, x > 0) until each element converges.
-
-    ``a`` and ``lng``, ln(gamma(a)) precomputed by the caller, are
-    floats or arrays like ``x``.  Converged elements get
-    ``sum * x^a e^-x / gamma(a)`` and are compacted out of the working
-    set, so long input vectors do not pay for their slowest entry.
-    """
-    out = np.empty_like(x)
-    scale = np.exp(-x + a * np.log(x) - lng)
-    idx = np.arange(x.size)
-    steps = terms(a, x)
-    keep = None
-    for _ in range(_MAX_ITER // 8):
-        done, acc = steps.send(keep)
-        keep = None
+        done = np.abs(delta - 1.0) < _TOL
         if done.any():
             fin = idx[done]
-            out[fin] = acc[done] * scale[fin]
-            keep = np.nonzero(~done)[0]
+            out[fin] = h[done] * scale[fin]
+            keep = np.flatnonzero(~done)
             idx = idx[keep]
             if idx.size == 0:
                 return out
-    raise NonConvergence(message)
+            a, b, c, d, h = _take(a, keep), b[keep], c[keep], d[keep], h[keep]
+    raise NonConvergence("incomplete gamma continued fraction hit the iteration cap")
 
 
 def _inc_gamma(name: str, a, x, upper: bool):
@@ -156,37 +175,49 @@ def _inc_gamma(name: str, a, x, upper: bool):
     Each element is computed on whichever representation is direct,
     series P below x = max(a + 1, 10) and continued-fraction Q above, and
     the other function is one minus it.  A shape given as one element, as
-    in a single CDF row, reaches the recurrences as a float.
+    in a single CDF row, reaches the recurrences as a float.  The series
+    takes the elements of one distinct shape as one row, in their order:
+    rows of a stacked call with distinct shapes equal their single-row
+    calls bit for bit.
     """
     a_arr, a_scalar = _as_array(a)
     x_arr, x_scalar = _as_array(x)
-    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
+    if a_arr.size and not (a_arr.min() > 0.0 and a_arr.max() < math.inf):
         raise DomainError(f"{name} requires a > 0, got {a!r}")
-    if np.any(~np.isfinite(x_arr)) or np.any(x_arr < 0.0):
+    if x_arr.size and not (x_arr.min() >= 0.0 and x_arr.max() < math.inf):
         raise DomainError(f"{name} requires x >= 0, got {x!r}")
     shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
-    x_flat = np.ascontiguousarray(np.broadcast_to(x_arr, shape)).ravel()
     if a_arr.size == 1:
         a_w = a_arr.item()
         lng = _lgamma(a_w)
+        x_flat = x_arr.ravel()
     else:
         a_w = np.ascontiguousarray(np.broadcast_to(a_arr, shape)).ravel()
         # ln(gamma) over the pre-broadcast argument, so a per-row shape
         # costs one evaluation per row, not one per grid point
         lng = np.ascontiguousarray(np.broadcast_to(ln_gamma(a_arr), shape)).ravel()
+        x_flat = np.ascontiguousarray(np.broadcast_to(x_arr, shape)).ravel()
+    below = x_flat < np.maximum(a_w + 1.0, _SERIES_X)
     # P(a, 0) = 0 exactly
     out = np.full(x_flat.shape, 1.0 if upper else 0.0)
-    below = x_flat < np.maximum(a_w + 1.0, _SERIES_X)
     ser = below & (x_flat > 0.0)
-    if np.any(ser):
-        p = _sum_to_convergence(_inc_gamma_series, _take(a_w, ser), x_flat[ser],
-                                _take(lng, ser),
-                                "incomplete gamma series hit the iteration cap")
+    if ser.any():
+        x_ser = x_flat[ser]
+        if a_arr.size == 1:
+            p = _series_row(a_w, x_ser, lng)
+        else:
+            p = np.empty_like(x_ser)
+            a_ser = a_w[ser]
+            # stable, so each shape's elements keep their order
+            order = np.argsort(a_ser, kind="stable")
+            cuts = np.flatnonzero(np.diff(a_ser[order])) + 1
+            for row in np.split(order, cuts):
+                a_row = a_ser[row[0]].item()
+                p[row] = _series_row(a_row, x_ser[row], _lgamma(a_row))
         out[ser] = 1.0 - p if upper else p
     cf = ~below
-    if np.any(cf):
-        q = _sum_to_convergence(_inc_gamma_cf, _take(a_w, cf), x_flat[cf], _take(lng, cf),
-                                "incomplete gamma continued fraction hit the iteration cap")
+    if cf.any():
+        q = _inc_gamma_cf(_take(a_w, cf), x_flat[cf], _take(lng, cf))
         out[cf] = q if upper else 1.0 - q
     out = np.clip(out, 0.0, 1.0).reshape(shape)
     return float(out) if (a_scalar and x_scalar) else out
@@ -202,8 +233,10 @@ def reg_inc_gamma_upper(a, x):
 
     Each element is computed on whichever representation is direct, so
     the pair satisfies P + Q = 1 to machine precision.  The error is
-    absolute (see the module docstring): below x = 10 a small Q is
-    1 - P.
+    absolute, about 1e-15 (see the module docstring): below x = 10 a
+    small Q is 1 - P, summed as a blocked polynomial in x/xm over the
+    points that share its shape, so its last bits depend on that row's
+    largest point xm.
     """
     return _inc_gamma("reg_inc_gamma_upper", a, x, upper=True)
 
@@ -211,7 +244,7 @@ def reg_inc_gamma_upper(a, x):
 def erf(x):
     """Error function of finite x, ``math.erf`` over each element."""
     arr, scalar = _as_array(x)
-    if np.any(~np.isfinite(arr)):
+    if arr.size and not (arr.min() > -math.inf and arr.max() < math.inf):
         raise DomainError(f"erf requires finite x, got {x!r}")
     out = np.asarray(_MATH_ERF(arr), dtype=float)
     return float(out) if scalar else out

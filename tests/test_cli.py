@@ -369,9 +369,10 @@ _SERIES_VALUES = '"values": [' + ", ".join(["0.9", "0.91", "0.93"] * 200) + "]"
     "{" + _SERIES_VALUES + ', "dt": "2"}',
     "{" + _SERIES_VALUES + ', "dt": true}',
     '{"values": [' + ", ".join(['"0.9"', '"0.91"', '"0.93"'] * 200) + "]}",
+    '{"values": [true, ' + ", ".join(["0.5", "0.91", "0.93"] * 200) + "]}",
 ], ids=["truncated", "no-values", "not-object", "gap-past-end", "negative-gap",
         "fractional-gap", "nested-values", "text-dt", "boolean-dt",
-        "text-values"])
+        "text-values", "boolean-value"])
 def test_malformed_series_is_data_error(tmp_path, capsys, stage, text):
     path = tmp_path / "series.json"
     path.write_text(text)
@@ -849,9 +850,10 @@ def test_malformed_line_in_a_later_chunk_names_its_line(tmp_path, capsys,
     {"samples": [[1.0, 1.0]], "n_companies": 1}, {"n_companies": 7},
     {"window_len": 0.0}, {"window_len": -600.0}, {"window_len": 1e999},
     {"window_start": 1e999}, {"n_companies": 1e999},
+    {"samples": [True] + [0.5] * 19},
 ], ids=["zero-sample", "negative-sample", "number", "empty", "nested",
         "n-companies", "zero-len", "negative-len", "infinite-len",
-        "infinite-start", "infinite-n-companies"])
+        "infinite-start", "infinite-n-companies", "boolean-sample"])
 def test_invalid_window_is_data_error(tmp_path, capsys, change):
     out, _ = _simulate_market_files(tmp_path, windows=3, companies=20)
     lines = out.read_text().splitlines()

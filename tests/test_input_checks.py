@@ -1,6 +1,7 @@
 """Property test of the input checks: one bad field in one line of a
-windows, fits or series file ends every consumer in exit 0 or in a data
-error naming that file, never in a traceback, exit 3 or a warning."""
+windows, fits or series file ends every consumer in exit 0, with strict
+JSON outputs, or in a data error naming that file, never in a
+traceback, exit 3 or a warning."""
 
 import contextlib
 import io
@@ -114,3 +115,21 @@ def test_one_bad_field_is_exit_0_or_a_data_error_naming_the_file(inputs, data):
             assert rc in (0, 2), (stage, rc, err.getvalue())
             if rc == 2:
                 assert f"data error: {src}" in err.getvalue(), err.getvalue()
+            else:
+                _assert_strict_json(Path(out) / stage)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _assert_strict_json(outdir: Path) -> None:
+    """Every JSON and JSON-lines file a stage wrote parses without NaN or
+    Infinity."""
+    written = sorted(outdir.rglob("*.json")) + sorted(outdir.rglob("*.jsonl"))
+    assert written, outdir
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        docs = text.splitlines() if path.suffix == ".jsonl" else [text]
+        for doc in docs:
+            json.loads(doc, parse_constant=_reject_constant)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volgram import market_data
+from volgram.distributions import ModelKind
 from volgram.errors import (AllWindowsFiltered, EmptyInput, MalformedLine,
                             MissingColumn, TooManyMalformed)
 from volgram.market_data import (QuoteRecord, build_windows, parse_quotes,
@@ -519,9 +520,10 @@ def test_window_format_version_checked():
     {"window_len": 0.0}, {"window_len": float("nan")},
     {"n_companies": 2.5}, {"window_start": "600"}, {"window_len": True},
     {"mean_s": float("nan")}, {"samples": ["0.5", "1.5"]},
+    {"samples": [True, 0.5]},
 ], ids=["zero", "negative", "nan", "inf", "number", "empty", "n-companies",
         "zero-len", "nan-len", "fractional-n-companies", "text-start",
-        "boolean-len", "nan-mean", "text-samples"])
+        "boolean-len", "nan-mean", "text-samples", "boolean-sample"])
 def test_invalid_window_rejected(change):
     d = window_to_dict(build_windows(
         _records_one_window([(1.0, 2.0), (3.0, 4.0)]),
@@ -532,6 +534,19 @@ def test_invalid_window_rejected(change):
     buf = io.StringIO(json.dumps(d) + "\n\n" + json.dumps({**d, **change}) + "\n")
     with pytest.raises(MalformedLine, match="^windows.jsonl line 12: ValueError: "):
         read_windows_jsonl(buf.readlines(), "windows.jsonl", 10)
+
+
+def test_fitted_series_gap_spans_a_failed_fit():
+    def row(start, phi, converged=True):
+        return {"window_start": start, "window_len": 600.0,
+                "models": {"inverse-gamma": {"phi": phi, "converged": converged}}}
+
+    rows = [row(0.0, 0.90), row(600.0, 0.91, converged=False),
+            row(1200.0, 0.92), row(2400.0, 0.93)]
+    series = market_data.fitted_series(rows, ModelKind.INVERSE_GAMMA)
+    assert series.values.tolist() == [0.90, 0.92, 0.93]
+    # 0 -> 1200 spans the failed window and 1200 -> 2400 a hole in the grid
+    assert series.gaps.tolist() == [0, 1]
 
 
 # -- one-pass ingest against sorting every record --------------------------

@@ -91,14 +91,23 @@ def test_inc_gamma_complement_identity_grid():
 def test_inc_gamma_vector_equals_elementwise():
     # both branches, with elements that converge after 1 to 19 blocks of
     # 8 terms: dropping converged elements from the working set must not
-    # change the value of any element left in it
+    # change the value of any element left in it.  The series evaluates
+    # the elements of one shape as a row, whose largest point sets the
+    # last bits, so a scalar call matches it to _MOVED_TOL and the
+    # one-shape call on the same elements matches it bit for bit.
     shapes = np.geomspace(0.05, 5e3, 9)
     a = np.repeat(shapes, 7)
     x = np.concatenate([[1e-5, 0.01 * s, 0.3 * s, 0.8 * s, s + 1.0,
                          1.5 * s + 2.0, 4.0 * s + 10.0] for s in shapes])
+    series = x < np.maximum(a + 1.0, 10.0)
     for fn in (reg_inc_gamma_lower, reg_inc_gamma_upper):
-        one_by_one = [fn(float(ai), float(xi)) for ai, xi in zip(a, x)]
-        assert np.array_equal(fn(a, x), one_by_one)
+        vector = fn(a, x)
+        for shape in shapes:
+            mine = a == shape
+            assert np.array_equal(vector[mine], fn(shape, x[mine]))
+        one_by_one = np.array([fn(float(ai), float(xi)) for ai, xi in zip(a, x)])
+        assert np.array_equal(vector[~series], one_by_one[~series])
+        assert np.all(np.abs(vector[series] - one_by_one[series]) <= _MOVED_TOL)
 
 
 @given(st.floats(min_value=0.1, max_value=50.0))
@@ -123,8 +132,10 @@ def test_inc_gamma_domain():
 # The kernel before the series took over a + 1 <= x < 10: series P below
 # x = a + 1, continued fraction Q (modified Lentz with its zero guards)
 # above, 8 terms per block, each element taken at the first block that
-# converges it.  Outside [a + 1, 10) the current kernel does the same
-# arithmetic and must match it bit for bit.
+# converges it.  In the continued fraction, x >= max(a + 1, 10), the
+# current kernel does the same arithmetic and must match it bit for bit.
+# Below that it sums the series as a polynomial in x over the row's
+# largest point, and must match it to _MOVED_TOL.
 
 def _oracle_series(a, x):
     ap = a.copy()
@@ -182,14 +193,15 @@ def _oracle_p_q(a, x):
     return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
 
 
-# ~80 ulp: up to 60 series terms, plus the rounding of the prefactor
-# exponent |x| + |a ln x| + |ln gamma(a)| on [a + 1, 10)
+# ~80 ulp: up to 60 series terms, each with the rounding of its power of
+# x/xm, plus the rounding of the prefactor exponent |x| + |a ln x| +
+# |ln gamma(a)| below x = 10
 _MOVED_TOL = 2e-14
 
 
 def _check_against_oracle(a, x, p, q):
     p_old, q_old = _oracle_p_q(a, x)
-    moved = (x >= a + 1.0) & (x < 10.0)
+    moved = (x > 0.0) & (x < np.maximum(a + 1.0, 10.0))
     assert np.array_equal(p[~moved], p_old[~moved])
     assert np.array_equal(q[~moved], q_old[~moved])
     assert np.all(np.abs(p[moved] - p_old[moved]) <= _MOVED_TOL)
@@ -226,6 +238,16 @@ def test_inc_gamma_per_element_vector_against_previous_kernel(pairs):
     _check_against_oracle(a, x, reg_inc_gamma_lower(a, x), reg_inc_gamma_upper(a, x))
 
 
+def test_inc_gamma_row_longer_than_one_product_slice():
+    # the block product runs on column slices of at most 2**19
+    # multiply-adds: 50000 points need several at any number of blocks
+    for a in (0.93, 9.5, 50.0):
+        x = np.linspace(0.0, max(a + 1.0, 10.0) * 1.5, 50_000)
+        p = reg_inc_gamma_lower(np.array([[a]]), x.reshape(1, -1))[0]
+        q = reg_inc_gamma_upper(np.array([[a]]), x.reshape(1, -1))[0]
+        _check_against_oracle(np.full(x.shape, a), x, p, q)
+
+
 _EDGE_SHAPES = (1e-8, 1e-3, 0.93, 9.0, 9.5, 50.0, 3e3)
 
 
@@ -240,7 +262,11 @@ def test_inc_gamma_edges_do_not_warn(a):
             assert 0.0 <= value <= 1.0
             row = fn(np.array([[a]]), np.array([[x, other]]))
             assert row.shape == (1, 2)
-            assert row[0, 0] == value
+            # in the series the last bits depend on the row's largest point
+            if 0.0 < x < max(a + 1.0, 10.0):
+                assert abs(row[0, 0] - value) <= _MOVED_TOL
+            else:
+                assert row[0, 0] == value
 
 
 def test_erf_against_oracle():

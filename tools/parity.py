@@ -23,10 +23,10 @@ parity:
   smaller of old and new), and whether the converged flags agree.  Per
   file and model it prints the largest moves, then every row that moved
   by more than 1e-3 SE or changed its flag;
-* each number in the ``km.json`` and ``markov.json`` files: the largest
-  relative change per key (list entries share their key), a key whose
-  number of values changed, and any other value (the Markov verdict)
-  that differs;
+* each number in the ``km.json``, ``markov.json`` and ``summary.json``
+  files: the largest relative change per key (list entries share their
+  key), a key whose number of values changed, and any other value (the
+  Markov verdict) that differs;
 * each window of the ``windows.jsonl`` files: the window starts and
   ``n_companies`` must be equal, and the sorted samples, ``mean_s`` and
   ``std_s`` equal within 1e-12 relative (the order of the samples in a
@@ -117,7 +117,8 @@ OUTPUTS = (
 
 
 FIT_FILES = [rel for rel in OUTPUTS if rel.endswith("fits.jsonl")]
-NUMBER_FILES = [rel for rel in OUTPUTS if rel.endswith(("km.json", "markov.json"))]
+NUMBER_FILES = [rel for rel in OUTPUTS
+                if rel.endswith(("km.json", "markov.json", "summary.json"))]
 WINDOW_FILES = [rel for rel in OUTPUTS if rel.endswith("windows.jsonl")]
 SE_GATE = 1e-3
 WINDOW_RTOL = 1e-12
