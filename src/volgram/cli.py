@@ -28,6 +28,12 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
+# Every matrix product volgram makes is small enough for the calling
+# thread, while the idle threads of the pool OpenBLAS starts when numpy
+# loads cost each process CPU time (about 0.07 s per `km` on a 2-CPU
+# machine).  A value the user exported wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import (distributions as dist, fitting, kramers_moyal as km_mod,
@@ -110,6 +116,11 @@ def _ranged(kind, low, high=math.inf, low_open=False):
 
 
 _COUNT = _ranged(int, 1)
+
+
+def _count_to(high: int, what: str) -> dict:
+    """add_argument options of a count in [1, high], named in --help."""
+    return {"type": _ranged(int, 1, high), "help": f"{what}, at most {high:,}"}
 
 
 def _parse_column_map(spec: str) -> dict[str, str]:
@@ -500,7 +511,8 @@ def _add_markov_options(p, bins_flag="--n-bins"):
     p.add_argument(bins_flag, type=_COUNT, default=20)
     p.add_argument("--lag", type=_COUNT, default=1)
     p.add_argument("--min-cell-count", type=_COUNT, default=30)
-    p.add_argument("--surrogates", type=_COUNT, default=100)
+    p.add_argument("--surrogates", default=100,
+                   **_count_to(10**5, "shuffled series of the null"))
     p.add_argument("--percentile", type=_ranged(float, 0.0, 100.0), default=95.0)
 
 
@@ -534,7 +546,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("summary", help="error statistics across windows")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--hist-bins", type=_COUNT, default=64)
+    p.add_argument("--hist-bins", default=64,
+                   **_count_to(10**5, "relative-error histogram bins"))
     p.set_defaults(func=_cmd_summary)
 
     p = sub.add_parser("km", help="drift/diffusion from a parameter series")
@@ -555,7 +568,7 @@ def build_parser() -> _Parser:
 
     g = gen.add_parser("langevin")
     g.add_argument("--output", required=True)
-    g.add_argument("--steps", type=_COUNT, default=10**5)
+    g.add_argument("--steps", default=10**5, **_count_to(10**7, "series length"))
     g.add_argument("--dt", type=float, default=1.0)
     g.add_argument("--initial", type=float, default=0.93)
     g.add_argument("--drift-slope", type=float, default=-0.05)
@@ -569,8 +582,9 @@ def build_parser() -> _Parser:
     g.add_argument("--output", required=True)
     g.add_argument("--truth", default=None,
                    help="also write the true parameter series JSON here")
-    g.add_argument("--companies", type=_COUNT, default=2000)
-    g.add_argument("--windows", type=_COUNT, default=1000)
+    g.add_argument("--companies", default=2000,
+                   **_count_to(10**5, "samples per window"))
+    g.add_argument("--windows", default=1000, **_count_to(10**5, "windows"))
     g.add_argument("--initial", type=float, default=0.93)
     g.add_argument("--drift-slope", type=float, default=-0.05)
     g.add_argument("--fixed-point", type=float, default=0.93)
@@ -585,7 +599,8 @@ def build_parser() -> _Parser:
     _add_ingest_options(p)
     _add_fit_options(p)
     _add_jobs_option(p)
-    p.add_argument("--hist-bins", type=_COUNT, default=64)
+    p.add_argument("--hist-bins", default=64,
+                   **_count_to(10**5, "relative-error histogram bins"))
     _add_model_options(p)
     _add_km_options(p)
     _add_markov_options(p, bins_flag="--markov-bins")
@@ -624,6 +639,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
         return 2
 
 

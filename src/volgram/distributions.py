@@ -326,19 +326,19 @@ def cdf(params: ModelParams, s):
 def cdf_grid(kind: ModelKind, phis, thetas, s) -> np.ndarray:
     """CDF of one model at several parameter pairs over a common grid.
 
-    Returns an array of shape (len(phis), len(s)).  This is the bulk
-    entry point the fitter uses for its gamma-family shape probe.
+    Returns an array of shape (len(phis), len(s)).  Every pair must pass
+    ``ModelParams.is_valid``.  This is the bulk entry point the fitter
+    uses for its gamma-family shape probe.
     """
     phi_col = np.asarray(phis, dtype=float).reshape(-1, 1)
     theta_col = np.asarray(thetas, dtype=float).reshape(-1, 1)
     if phi_col.shape != theta_col.shape:
         raise DomainError("phis and thetas must have equal length")
-    model = _MODELS[kind]
-    if (theta_col <= 0.0).any() or (model.phi_positive and (phi_col <= 0.0).any()):
-        raise DomainError(f"invalid parameters for {kind}")
+    for phi, theta in zip(phi_col.ravel().tolist(), theta_col.ravel().tolist()):
+        _check_params(ModelParams(kind, phi, theta))
     arr = np.asarray(s, dtype=float).reshape(1, -1)
     _check_support(arr)
-    return np.asarray(model.cdf(phi_col, theta_col, arr))
+    return np.asarray(_MODELS[kind].cdf(phi_col, theta_col, arr))
 
 
 def analytic_moments(params: ModelParams) -> Moments:

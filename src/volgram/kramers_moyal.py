@@ -87,6 +87,8 @@ def conditional_moments(series: ParamSeries, n_bins: int = 50,
     if n < 10 * n_bins:
         raise SeriesTooShort(f"need at least {10 * n_bins} points for "
                              f"{n_bins} bins, got {n}")
+    if tau_max >= n:
+        raise SeriesTooShort(f"need more than tau_max={tau_max} points, got {n}")
     v = series.values
     edges, idx = _bin_index(v, n_bins)
     width = edges[1] - edges[0]
@@ -97,8 +99,6 @@ def conditional_moments(series: ParamSeries, n_bins: int = 50,
     m1 = np.full((n_bins, tau_max), np.nan)
     m2 = np.full((n_bins, tau_max), np.nan)
     for tau in range(1, tau_max + 1):
-        if tau >= n:
-            break
         inc = v[tau:] - v[:-tau]
         valid = (prefix[tau:] - prefix[:-tau]) == 0
         b = idx[:-tau][valid]

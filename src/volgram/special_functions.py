@@ -110,7 +110,9 @@ def _series_row(a: float, x: np.ndarray, lng: float) -> np.ndarray:
     coef = coef.reshape(-1, 8)
     blocks = np.empty((len(coef), x.size))
     # OpenBLAS hands a product of about 1e6 multiply-adds to its thread
-    # pool; column slices of at most 2**19 multiply-adds stay on this one
+    # pool; column slices of at most 2**19 multiply-adds stay on this one.
+    # The CLI starts no pool, so this serves library callers whose numpy
+    # keeps one.
     width = max(1, 2**16 // len(coef))
     for i in range(0, x.size, width):
         np.matmul(coef, powers[:, i:i + width], out=blocks[:, i:i + width])

@@ -1,9 +1,12 @@
 """CLI behavior: subcommands, exit codes, file formats, composability."""
 
 import csv
+import importlib
 import json
 import logging
 import os
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -11,6 +14,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
+import volgram
 from volgram.cli import _pool_size, _worker_map, emit_plotdata, main
 from volgram.kramers_moyal import (ParamSeries, conditional_moments,
                                    km_estimate)
@@ -956,3 +960,98 @@ def test_simulate_langevin_with_noise(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["values"]) == 5000
     assert doc["kind"] == "param-series"
+
+
+# -- sizes and threads of a CLI process -------------------------------------
+
+SRC = Path(volgram.__file__).parents[1]
+
+
+def _child(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` on these sources; OPENBLAS_NUM_THREADS is
+    only what ``env`` gives, not what an import in this process set."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**base, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+_THREADS = "import os, volgram.cli; print(len(os.listdir('/proc/self/task')))"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_cli_process_starts_no_blas_pool():
+    done = _child(_THREADS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and 2 CPUs")
+def test_exported_openblas_threads_win():
+    done = _child(_THREADS, OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "2"
+
+
+def test_import_volgram_loads_no_numpy():
+    done = _child("import sys, volgram; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_package_names_are_their_home_module_objects():
+    for name in volgram.__all__:
+        home = importlib.import_module(f"volgram.{volgram._HOME[name]}")
+        assert getattr(volgram, name) is getattr(home, name)
+    with pytest.raises(AttributeError):
+        volgram.no_such_name
+
+
+_UNDER_1GB = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+              "from volgram.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["summary", "--hist-bins"],
+    ["markov", "--surrogates"],
+    ["km", "--tau-max"],
+    ["simulate", "langevin", "--steps"],
+    ["simulate", "market", "--companies"],
+    ["simulate", "market", "--windows"],
+], ids=" ".join)
+def test_huge_size_fails_in_one_line_under_1gb(tmp_path, argv):
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "2000", "--seed", "4"]) == 0
+    fits = tmp_path / "fits.jsonl"
+    fits.write_text(_fit_line({"inverse-gamma": _FIT}) + "\n")
+    output = tmp_path / "out.json"
+    files = {"summary": ["--input", str(fits)],
+             "markov": ["--series", str(series)],
+             "km": ["--series", str(series)],
+             "simulate": []}
+    done = _child(_UNDER_1GB, *argv, str(10**12), *files[argv[0]],
+                  "--output", str(output))
+    assert done.returncode in (1, 2)
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert not output.exists()
+
+
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
+    series = tmp_path / "series.json"
+    assert main(["simulate", "langevin", "--output", str(series),
+                 "--steps", "2000", "--seed", "4"]) == 0
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    monkeypatch.setattr("volgram.kramers_moyal.conditional_moments", exhausted)
+    capsys.readouterr()
+    output = tmp_path / "km.json"
+    assert main(["km", "--series", str(series), "--output", str(output)]) == 2
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 7.28 TiB\n"
+    assert not output.exists()

@@ -256,3 +256,10 @@ def test_cdf_grid_matches_scalar_cdf():
         for row, (phi, theta) in enumerate(zip(phis, thetas)):
             expect = cdf(ModelParams(kind, phi, theta), s)
             assert np.allclose(grid[row], expect, rtol=1e-12, atol=1e-14)
+        # a pair the scalar CDF rejects fails the whole grid
+        for bad in (math.nan, math.inf):
+            for phi, theta in ((bad, 1.2), (0.8, bad)):
+                with pytest.raises(DomainError):
+                    cdf(ModelParams(kind, phi, theta), s)
+                with pytest.raises(DomainError):
+                    cdf_grid(kind, [1.7, phi], [0.6, theta], s)

@@ -84,6 +84,9 @@ def test_km_estimate_requires_three_tau_points():
 def test_conditional_moments_validation():
     with pytest.raises(SeriesTooShort):
         conditional_moments(_series(np.ones(99) + np.arange(99)), n_bins=10)
+    with pytest.raises(SeriesTooShort):
+        # raised before the (n_bins, tau_max) arrays are allocated
+        conditional_moments(_ou(5000, seed=1), n_bins=10, tau_max=10**12)
     with pytest.raises(InsufficientTauPoints):
         conditional_moments(_ou(5000, seed=1), n_bins=10, tau_max=2)
     with pytest.raises(AllBinsUnderpopulated):
