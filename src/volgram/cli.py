@@ -100,9 +100,10 @@ def _parse_tau_range(spec: str) -> tuple[int, int]:
 def _ranged(kind, low, high=math.inf, low_open=False):
     """argparse type: a finite ``kind`` number in [low, high], or in
     (low, high] if ``low_open``."""
-    rule = (f"in [{low}, {high}]" if high < math.inf
-            else f"{'>' if low_open else '>='} {low}")
-    rule = f"{'an integer' if kind is int else 'a finite number'} {rule}"
+    rule = (f" in [{low}, {high}]" if high < math.inf
+            else f" {'>' if low_open else '>='} {low}" if low > -math.inf
+            else "")
+    rule = f"{'an integer' if kind is int else 'a finite number'}{rule}"
 
     def parse(text: str):
         value = kind(text)
@@ -116,6 +117,7 @@ def _ranged(kind, low, high=math.inf, low_open=False):
 
 
 _COUNT = _ranged(int, 1)
+_FINITE = _ranged(float, -math.inf)
 
 
 def _count_to(high: int, what: str) -> dict:
@@ -131,7 +133,12 @@ def _parse_column_map(spec: str) -> dict[str, str]:
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad column mapping {pair!r}, expected name=csvcolumn")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in market_data.REQUIRED_FIELDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown field {key!r} in column mapping; choose from "
+                f"{', '.join(market_data.REQUIRED_FIELDS)}")
+        out[key] = value.strip()
     return out
 
 
@@ -569,11 +576,11 @@ def build_parser() -> _Parser:
     g = gen.add_parser("langevin")
     g.add_argument("--output", required=True)
     g.add_argument("--steps", default=10**5, **_count_to(10**7, "series length"))
-    g.add_argument("--dt", type=float, default=1.0)
-    g.add_argument("--initial", type=float, default=0.93)
-    g.add_argument("--drift-slope", type=float, default=-0.05)
-    g.add_argument("--fixed-point", type=float, default=0.93)
-    g.add_argument("--diffusion", type=float, default=1e-6)
+    g.add_argument("--dt", type=_ranged(float, 0.0, low_open=True), default=1.0)
+    g.add_argument("--initial", type=_FINITE, default=0.93)
+    g.add_argument("--drift-slope", type=_FINITE, default=-0.05)
+    g.add_argument("--fixed-point", type=_FINITE, default=0.93)
+    g.add_argument("--diffusion", type=_ranged(float, 0.0), default=1e-6)
     g.add_argument("--noise-sigma", type=_ranged(float, 0.0), default=0.0)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=_cmd_simulate)
@@ -585,10 +592,10 @@ def build_parser() -> _Parser:
     g.add_argument("--companies", default=2000,
                    **_count_to(10**5, "samples per window"))
     g.add_argument("--windows", default=1000, **_count_to(10**5, "windows"))
-    g.add_argument("--initial", type=float, default=0.93)
-    g.add_argument("--drift-slope", type=float, default=-0.05)
-    g.add_argument("--fixed-point", type=float, default=0.93)
-    g.add_argument("--diffusion", type=float, default=2e-4)
+    g.add_argument("--initial", type=_FINITE, default=0.93)
+    g.add_argument("--drift-slope", type=_FINITE, default=-0.05)
+    g.add_argument("--fixed-point", type=_FINITE, default=0.93)
+    g.add_argument("--diffusion", type=_ranged(float, 0.0), default=2e-4)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=_cmd_simulate)
 

@@ -21,6 +21,7 @@ from .errors import DomainError
 from .market_data import ParamSeries, SnapshotWindow
 
 _MIN_MARKET_PHI = 0.05
+_NOISE_SLICE = 1 << 16   # noise values converted to Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,9 @@ class LangevinSpec:
     diffusion: float
 
     def __post_init__(self):
+        for name in ("dt", "initial", "drift_slope", "fixed_point", "diffusion"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise DomainError("dt must be positive")
         if self.n_steps < 1:
@@ -68,11 +72,16 @@ def simulate_langevin(spec: LangevinSpec) -> ParamSeries:
     slope, fp = float(spec.drift_slope), float(spec.fixed_point)
     scale = math.sqrt(2.0 * spec.diffusion * dt)
     x = float(spec.initial)
-    path = [x]
-    for xi in noise.tolist():
-        x += slope * (x - fp) * dt + scale * xi
-        path.append(x)
-    return ParamSeries(values=np.array(path), dt=dt)
+    path = np.empty(n)
+    path[0] = x
+    # the noise goes to Python floats one slice at a time, so the loop
+    # holds at most _NOISE_SLICE of them next to the float64 path
+    for start in range(0, n - 1, _NOISE_SLICE):
+        for i, xi in enumerate(noise[start:start + _NOISE_SLICE].tolist(),
+                               start + 1):
+            x += slope * (x - fp) * dt + scale * xi
+            path[i] = x
+    return ParamSeries(values=path, dt=dt)
 
 
 def add_measurement_noise(series: ParamSeries, sigma_m: float,
@@ -112,7 +121,6 @@ def simulate_market(n_companies: int, n_windows: int,
             window_len=window_len,
             samples=raw / mean_s,
             mean_s=mean_s,
-            std_s=float(raw.std()),
             n_companies=n_companies,
         ))
     return MarketSim(windows=windows, truth=ParamSeries(values=phis, dt=1.0))

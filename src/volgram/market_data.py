@@ -55,7 +55,6 @@ class SnapshotWindow:
     window_len: float
     samples: np.ndarray       # s / <s>, strictly positive
     mean_s: float             # <s> of the raw volume-prices
-    std_s: float              # population std of the raw volume-prices
     n_companies: int
 
 
@@ -373,7 +372,6 @@ def build_windows(records: Iterable[QuoteRecord], window_len: float = 600.0,
             window_len=float(window_len),
             samples=samples,
             mean_s=mean_s,
-            std_s=float(s.std()),
             n_companies=int(s.size),
         ))
     if not windows:
@@ -425,7 +423,6 @@ def window_to_dict(w: SnapshotWindow) -> dict:
         "window_len": w.window_len,
         "samples": w.samples.tolist(),
         "mean_s": w.mean_s,
-        "std_s": w.std_s,
         "n_companies": w.n_companies,
     }
 
@@ -440,7 +437,6 @@ def window_from_dict(d: dict) -> SnapshotWindow:
         window_len=_finite(d["window_len"], "window_len", above=0.0),
         samples=_finite_array(d["samples"], "samples", above=0.0),
         mean_s=_finite(d["mean_s"], "mean_s", above=0.0),
-        std_s=_finite(d["std_s"], "std_s"),
         n_companies=_finite(d["n_companies"], "n_companies", integer=True),
     )
     if w.n_companies != w.samples.size:

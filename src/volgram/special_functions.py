@@ -1,17 +1,18 @@
 """Special functions backing the model CDFs.
 
 Everything here is plain numpy so that a whole empirical-CDF grid can be
-evaluated in one call.  The incomplete gamma sums the series for P when
+evaluated in one call.  The incomplete gamma is evaluated one shape at a
+time: the elements of each distinct shape form a row, in their order,
+and one kernel takes the row.  It sums the series for P when
 ``x < max(a + 1, 10)`` and the continued fraction (modified Lentz) for Q
 otherwise, both iterated to 1e-15 with a cap of 500 terms, and takes
-the other function as one minus it.  The series runs once per shape, as
+the other function as one minus it.  The series runs once per row, as
 a scalar recurrence at the row's largest point xm, and each point's sum
 is then a polynomial in x/xm taken in blocks of 8 terms: one matrix
 product and a Horner pass, a fixed handful of numpy calls per row.  So
-the points of one shape form a row, and a value's last bits depend on
-that row's xm.  The split at a + 1 alone would minimise the number of
-terms; below x = 10 the series still needs fewer numpy operations,
-which is what a call costs.  Accuracy is absolute, about 1e-15: a small
+a value's last bits depend on its row's xm.  The split at a + 1 alone
+would minimise the number of terms; below x = 10 the series still needs
+fewer numpy operations, which is what a call costs.  Accuracy is absolute, about 1e-15: a small
 Q with a + 1 <= x < 10 is 1 - P and carries P's absolute error, not a
 relative one.  Log-gamma and the error function are the standard
 library's ``math.lgamma`` and ``math.erf``, applied elementwise.
@@ -60,12 +61,6 @@ def ln_gamma(x):
     with np.errstate(over="ignore"):
         out = np.asarray(_MATH_LGAMMA(arr), dtype=float)
     return float(out) if scalar else out
-
-
-def _take(v, index):
-    """``v[index]`` for a per-element array; a float shared by every
-    element stays as it is."""
-    return v[index] if isinstance(v, np.ndarray) else v
 
 
 def _series_row(a: float, x: np.ndarray, lng: float) -> np.ndarray:
@@ -123,12 +118,11 @@ def _series_row(a: float, x: np.ndarray, lng: float) -> np.ndarray:
     return p * np.exp(-x + a * np.log(x) - lng)
 
 
-def _inc_gamma_cf(a, x: np.ndarray, lng) -> np.ndarray:
+def _inc_gamma_cf(a: float, x: np.ndarray, lng: float) -> np.ndarray:
     """Q(a, x) by continued fraction (modified Lentz), x >= max(a + 1, 10).
 
-    ``a`` and ``lng``, ln(gamma(a)) precomputed by the caller, are floats
-    or arrays like ``x``.  Each element is taken at the first block of 8
-    iterations that converges it, and converged elements are compacted
+    ``lng`` is ln(gamma(a)).  Each element is taken at the first block of
+    8 iterations that converges it, and converged elements are compacted
     out of the working set, so long input vectors do not pay for their
     slowest entry.  Extra Lentz iterations past convergence are stable
     (delta stays 1), so testing only at the end of each block is safe.
@@ -167,20 +161,35 @@ def _inc_gamma_cf(a, x: np.ndarray, lng) -> np.ndarray:
             idx = idx[keep]
             if idx.size == 0:
                 return out
-            a, b, c, d, h = _take(a, keep), b[keep], c[keep], d[keep], h[keep]
+            b, c, d, h = b[keep], c[keep], d[keep], h[keep]
     raise NonConvergence("incomplete gamma continued fraction hit the iteration cap")
+
+
+def _inc_gamma_row(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
+    """P(a, x), or Q if ``upper``, for one shape over a 1-d row x >= 0:
+    series P below x = max(a + 1, 10), continued-fraction Q above, and
+    the other function as one minus it."""
+    lng = _lgamma(a)
+    below = x < max(a + 1.0, _SERIES_X)
+    # P(a, 0) = 0 exactly
+    out = np.full(x.shape, 1.0 if upper else 0.0)
+    ser = below & (x > 0.0)
+    if ser.any():
+        p = _series_row(a, x[ser], lng)
+        out[ser] = 1.0 - p if upper else p
+    cf = ~below
+    if cf.any():
+        q = _inc_gamma_cf(a, x[cf], lng)
+        out[cf] = q if upper else 1.0 - q
+    return out
 
 
 def _inc_gamma(name: str, a, x, upper: bool):
     """Validate and broadcast (a, x), then evaluate P, or Q if ``upper``.
 
-    Each element is computed on whichever representation is direct,
-    series P below x = max(a + 1, 10) and continued-fraction Q above, and
-    the other function is one minus it.  A shape given as one element, as
-    in a single CDF row, reaches the recurrences as a float.  The series
-    takes the elements of one distinct shape as one row, in their order:
-    rows of a stacked call with distinct shapes equal their single-row
-    calls bit for bit.
+    The elements of one distinct shape form one row, in their order, and
+    each row goes through ``_inc_gamma_row``: rows of a stacked call with
+    distinct shapes equal their single-row calls bit for bit.
     """
     a_arr, a_scalar = _as_array(a)
     x_arr, x_scalar = _as_array(x)
@@ -190,37 +199,17 @@ def _inc_gamma(name: str, a, x, upper: bool):
         raise DomainError(f"{name} requires x >= 0, got {x!r}")
     shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
     if a_arr.size == 1:
-        a_w = a_arr.item()
-        lng = _lgamma(a_w)
-        x_flat = x_arr.ravel()
+        out = _inc_gamma_row(a_arr.item(), x_arr.ravel(), upper)
     else:
-        a_w = np.ascontiguousarray(np.broadcast_to(a_arr, shape)).ravel()
-        # ln(gamma) over the pre-broadcast argument, so a per-row shape
-        # costs one evaluation per row, not one per grid point
-        lng = np.ascontiguousarray(np.broadcast_to(ln_gamma(a_arr), shape)).ravel()
-        x_flat = np.ascontiguousarray(np.broadcast_to(x_arr, shape)).ravel()
-    below = x_flat < np.maximum(a_w + 1.0, _SERIES_X)
-    # P(a, 0) = 0 exactly
-    out = np.full(x_flat.shape, 1.0 if upper else 0.0)
-    ser = below & (x_flat > 0.0)
-    if ser.any():
-        x_ser = x_flat[ser]
-        if a_arr.size == 1:
-            p = _series_row(a_w, x_ser, lng)
-        else:
-            p = np.empty_like(x_ser)
-            a_ser = a_w[ser]
-            # stable, so each shape's elements keep their order
-            order = np.argsort(a_ser, kind="stable")
-            cuts = np.flatnonzero(np.diff(a_ser[order])) + 1
-            for row in np.split(order, cuts):
-                a_row = a_ser[row[0]].item()
-                p[row] = _series_row(a_row, x_ser[row], _lgamma(a_row))
-        out[ser] = 1.0 - p if upper else p
-    cf = ~below
-    if cf.any():
-        q = _inc_gamma_cf(_take(a_w, cf), x_flat[cf], _take(lng, cf))
-        out[cf] = q if upper else 1.0 - q
+        a_flat = np.broadcast_to(a_arr, shape).ravel()
+        x_flat = np.broadcast_to(x_arr, shape).ravel()
+        out = np.empty(a_flat.shape)
+        # stable, so each shape's elements keep their order
+        order = np.argsort(a_flat, kind="stable")
+        cuts = np.flatnonzero(np.diff(a_flat[order])) + 1
+        # np.split of an empty order still gives one (empty) row
+        for row in np.split(order, cuts) if order.size else ():
+            out[row] = _inc_gamma_row(a_flat[row[0]].item(), x_flat[row], upper)
     out = np.clip(out, 0.0, 1.0).reshape(shape)
     return float(out) if (a_scalar and x_scalar) else out
 
@@ -237,8 +226,8 @@ def reg_inc_gamma_upper(a, x):
     the pair satisfies P + Q = 1 to machine precision.  The error is
     absolute, about 1e-15 (see the module docstring): below x = 10 a
     small Q is 1 - P, summed as a blocked polynomial in x/xm over the
-    points that share its shape, so its last bits depend on that row's
-    largest point xm.
+    row of points that share its shape, so its last bits depend on that
+    row's largest point xm.
     """
     return _inc_gamma("reg_inc_gamma_upper", a, x, upper=True)
 

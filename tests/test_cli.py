@@ -156,6 +156,19 @@ def test_bad_column_map_is_usage_error_for_windows_input(tmp_path, capsys):
     assert not (tmp_path / "pipe" / "fits.jsonl").exists()
 
 
+def test_misspelled_column_map_field_is_usage_error(tmp_path, capsys):
+    csv_path = tmp_path / "quotes.csv"
+    _quotes_csv(csv_path)
+    windows = tmp_path / "windows.jsonl"
+    rc = main(["ingest", "--input", str(csv_path), "--output", str(windows),
+               "--column-map", "volum=volume"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --column-map: unknown field 'volum'")
+    assert "timestamp, symbol, last_price, volume" in err
+    assert not windows.exists()
+
+
 def test_ingest_fit_summary_from_csv(tmp_path):
     csv_path = tmp_path / "quotes.csv"
     _quotes_csv(csv_path)
@@ -630,7 +643,7 @@ def test_outputs_are_strict_json(tmp_path):
     s = 1.0 + 0.01 * np.random.default_rng(0).standard_normal(2000)
     narrow = SnapshotWindow(window_start=1800.0, window_len=600.0,
                             samples=s / s.mean(), mean_s=float(s.mean()),
-                            std_s=float(s.std()), n_companies=2000)
+                            n_companies=2000)
     with open(out, "a", encoding="utf-8") as fh:
         write_windows_jsonl([narrow], fh)
 
@@ -687,8 +700,7 @@ def test_pipeline_plotdata_skips_a_window_too_small_to_fit(tmp_path):
 def test_cdf_fit_plotdata_without_a_converged_fit_is_header_only(tmp_path):
     samples = np.linspace(0.5, 1.5, 12)
     window = SnapshotWindow(window_start=0.0, window_len=600.0,
-                            samples=samples, mean_s=1.0,
-                            std_s=float(samples.std()), n_companies=12)
+                            samples=samples, mean_s=1.0, n_companies=12)
     row = {"window_start": 0.0, "window_len": 600.0, "n_companies": 12,
            "models": {"gamma": {"phi": None, "theta": None,
                                 "converged": False}}}
@@ -730,8 +742,7 @@ def test_emit_plotdata_empty_reports(tmp_path):
 def test_cdf_fit_plotdata_skips_failed_fits(tmp_path):
     samples = np.linspace(0.5, 1.5, 12)
     window = SnapshotWindow(window_start=0.0, window_len=600.0,
-                            samples=samples, mean_s=1.0,
-                            std_s=float(samples.std()), n_companies=12)
+                            samples=samples, mean_s=1.0, n_companies=12)
     fit = {"phi": 2.0, "theta": 1.0, "rel_err_phi": 0.1,
            "rel_err_theta": 0.1, "rss": 0.01, "iterations": 5}
     row = {"window_start": 0.0, "window_len": 600.0, "n_companies": 12,
@@ -920,6 +931,16 @@ def test_series_dt_not_above_zero_is_data_error(tmp_path, capsys, stage, dt):
     ["simulate", "market", "--windows", "0"],
     ["simulate", "langevin", "--steps", "0"],
     ["simulate", "langevin", "--noise-sigma", "-1"],
+    ["simulate", "langevin", "--dt", "nan"],
+    ["simulate", "langevin", "--dt", "0"],
+    ["simulate", "langevin", "--diffusion", "nan"],
+    ["simulate", "langevin", "--diffusion", "-0.5"],
+    ["simulate", "langevin", "--initial", "inf"],
+    ["simulate", "langevin", "--fixed-point", "nan"],
+    ["simulate", "market", "--diffusion", "nan"],
+    ["simulate", "market", "--drift-slope", "nan"],
+    ["simulate", "market", "--initial", "nan"],
+    ["simulate", "market", "--fixed-point", "inf"],
     ["fit", "--jobs", "-3"],
     ["pipeline", "--markov-bins", "0"],
 ], ids=" ".join)

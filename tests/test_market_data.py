@@ -536,6 +536,17 @@ def test_invalid_window_rejected(change):
         read_windows_jsonl(buf.readlines(), "windows.jsonl", 10)
 
 
+def test_window_with_dropped_std_s_key_loads():
+    # windows files written before std_s was dropped still carry it
+    d = window_to_dict(build_windows(
+        _records_one_window([(1.0, 2.0), (3.0, 4.0)]),
+        min_companies=1).windows[0])
+    assert "std_s" not in d
+    (w,) = read_windows_jsonl([json.dumps({**d, "std_s": 1.5}) + "\n"],
+                              "windows.jsonl")
+    assert window_to_dict(w) == d
+
+
 def test_fitted_series_gap_spans_a_failed_fit():
     def row(start, phi, converged=True):
         return {"window_start": start, "window_len": 600.0,
@@ -557,8 +568,8 @@ DAY_CLOSE = _epoch(2011, 3, 16, 16, 0)
 
 def _oracle_windows(records, window_len=600.0):
     """Windows from all records by sort-and-overwrite: (start, n_companies,
-    samples, mean_s, std_s) per session window, samples in symbol order,
-    and the number of off-session windows."""
+    samples, mean_s) per session window, samples in symbol order, and the
+    number of off-session windows."""
     per_window = {}
     for (start, symbol), rec in _sort_and_overwrite(records, window_len).items():
         per_window.setdefault(start, {})[symbol] = rec[2] * rec[3]
@@ -571,8 +582,7 @@ def _oracle_windows(records, window_len=600.0):
         s = s[s > 0.0]
         if s.size:
             mean_s = float(s.mean())
-            windows.append((start, s.size, (s / mean_s).tolist(), mean_s,
-                            float(s.std())))
+            windows.append((start, s.size, (s / mean_s).tolist(), mean_s))
     return windows, n_off
 
 
@@ -581,8 +591,8 @@ def _windows_outcome(build, *args, **kwargs):
         built = build(*args, **kwargs)
     except Exception as err:  # the exception type is part of the outcome
         return type(err)
-    return ([(w.window_start, w.n_companies, w.samples.tolist(), w.mean_s,
-              w.std_s) for w in built.windows], built.n_session_filtered)
+    return ([(w.window_start, w.n_companies, w.samples.tolist(), w.mean_s)
+             for w in built.windows], built.n_session_filtered)
 
 
 def _csv_bytes(rows):

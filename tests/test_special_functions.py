@@ -108,6 +108,13 @@ def test_inc_gamma_vector_equals_elementwise():
         one_by_one = np.array([fn(float(ai), float(xi)) for ai, xi in zip(a, x)])
         assert np.array_equal(vector[~series], one_by_one[~series])
         assert np.all(np.abs(vector[series] - one_by_one[series]) <= _MOVED_TOL)
+        # an empty or zero-size broadcast gives an empty array of its shape
+        for a_empty, x_empty in ((np.empty(0), np.empty(0)), (2.0, np.empty(0)),
+                                 (np.empty((0, 1)), np.ones((1, 3)))):
+            out = fn(a_empty, x_empty)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == np.broadcast_shapes(np.shape(a_empty),
+                                                    np.shape(x_empty))
 
 
 @given(st.floats(min_value=0.1, max_value=50.0))

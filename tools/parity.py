@@ -28,9 +28,9 @@ parity:
   key), a key whose number of values changed, and any other value (the
   Markov verdict) that differs;
 * each window of the ``windows.jsonl`` files: the window starts and
-  ``n_companies`` must be equal, and the sorted samples, ``mean_s`` and
-  ``std_s`` equal within 1e-12 relative (the order of the samples in a
-  window and the summation order of its moments may change);
+  ``n_companies`` must be equal, and the sorted samples and ``mean_s``
+  equal within 1e-12 relative (the order of the samples in a window and
+  the summation order of its mean may change);
 * for each Markov result (``markov.json``, and the ``markov`` entry of a
   pipeline's ``km.json``), its distance/threshold ratio, old -> new.
   This only reports; it does not enter the gate.
@@ -201,12 +201,11 @@ def _compare_windows(rel: str, old_dir: Path, new_dir: Path) -> int:
     if [w["window_start"] for w in old] != [w["window_start"] for w in new]:
         print(f"{rel}: window starts differ ({len(old)} -> {len(new)} windows)")
         return 1
-    moves = {"samples": 0.0, "mean_s": 0.0, "std_s": 0.0}
+    moves = {"samples": 0.0, "mean_s": 0.0}
     flagged = []
     for o, n in zip(old, new):
         row = {"samples": _rel_diff(sorted(o["samples"]), sorted(n["samples"])),
-               "mean_s": _rel_diff([o["mean_s"]], [n["mean_s"]]),
-               "std_s": _rel_diff([o["std_s"]], [n["std_s"]])}
+               "mean_s": _rel_diff([o["mean_s"]], [n["mean_s"]])}
         for key, move in row.items():
             moves[key] = max(moves[key], move)
         if o["n_companies"] != n["n_companies"] or max(row.values()) > WINDOW_RTOL:
