@@ -21,9 +21,9 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
@@ -52,6 +52,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -2e-2 and -inf for options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf$", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -63,6 +69,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(strict_dumps(payload) + "\n")
+
+
+def _write_series(path: Path, series: market_data.ParamSeries) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        market_data.write_series_json(series, fh)
 
 
 def _line_chunks(path: Path, size: int):
@@ -156,6 +168,11 @@ def _worker_map(jobs: int):
     """A ``map(func, tasks)`` that yields in task order.  The pool is sized
     by ``_pool_size`` from the first two tasks per allowed worker and holds
     at most two tasks per worker; with one worker the tasks run here."""
+    # only the pooled stages load the pool's modules, before they read a
+    # task: imported with the first tasks in memory, they raised the
+    # pipeline's peak RSS by about 1 MB
+    from concurrent.futures import ProcessPoolExecutor
+
     def pooled(func, tasks):
         tasks = iter(tasks)
         head = list(islice(tasks, 2 * _pool_size(jobs, math.inf)))
@@ -436,13 +453,13 @@ def _cmd_simulate(args) -> int:
         with open(out, "w", encoding="utf-8") as fh:
             market_data.write_windows_jsonl(sim.windows, fh)
         if args.truth:
-            _write_json(Path(args.truth), market_data.series_to_dict(sim.truth))
+            _write_series(Path(args.truth), sim.truth)
     else:
         series = langevin.simulate_langevin(spec)
         if args.noise_sigma > 0.0:
             series = langevin.add_measurement_noise(series, args.noise_sigma,
                                                     seed=args.seed + 1)
-        _write_json(out, market_data.series_to_dict(series))
+        _write_series(out, series)
     return 0
 
 

@@ -73,7 +73,9 @@ def _bin_index(v: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
         # populated bin reports its (zero) moments
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, n_bins + 1)
-    return edges, np.clip(np.searchsorted(edges, v, side="right") - 1, 0, n_bins - 1)
+    idx = np.searchsorted(edges, v, side="right")
+    idx -= 1
+    return edges, np.clip(idx, 0, n_bins - 1, out=idx)
 
 
 def conditional_moments(series: ParamSeries, n_bins: int = 50,
@@ -93,19 +95,22 @@ def conditional_moments(series: ParamSeries, n_bins: int = 50,
     edges, idx = _bin_index(v, n_bins)
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    prefix = _gap_prefix(series)
+    prefix = _gap_prefix(series) if series.gaps.size else None
 
     counts = np.zeros((n_bins, tau_max), dtype=np.int64)
     m1 = np.full((n_bins, tau_max), np.nan)
     m2 = np.full((n_bins, tau_max), np.nan)
+    work = np.empty(n - 1)
     for tau in range(1, tau_max + 1):
-        inc = v[tau:] - v[:-tau]
-        valid = (prefix[tau:] - prefix[:-tau]) == 0
-        b = idx[:-tau][valid]
-        inc = inc[valid]
+        inc = np.subtract(v[tau:], v[:-tau], out=work[:n - tau])
+        b = idx[:-tau]
+        if prefix is not None:
+            valid = (prefix[tau:] - prefix[:-tau]) == 0
+            b, inc = b[valid], inc[valid]
         cnt = np.bincount(b, minlength=n_bins)
         s1 = np.bincount(b, weights=inc, minlength=n_bins)
-        s2 = np.bincount(b, weights=inc * inc, minlength=n_bins)
+        s2 = np.bincount(b, weights=np.multiply(inc, inc, out=inc),
+                         minlength=n_bins)
         col = tau - 1
         counts[:, col] = cnt
         nz = cnt > 0
@@ -219,17 +224,20 @@ class MarkovTestResult:
     n_cells: int
 
 
-def _triple_counts(idx: np.ndarray, valid: np.ndarray, n_bins: int,
+def _triple_counts(idx: np.ndarray, valid: np.ndarray | None, n_bins: int,
                    lag: int) -> np.ndarray:
     """Counts c3[x1, x2, x3] of the lag-spaced bin triples whose span
-    ``valid`` marks gap-free."""
+    ``valid`` marks gap-free (None: every triple)."""
     h = idx[:-2 * lag]
     i = idx[lag:-lag]
     j = idx[2 * lag:]
-    if not valid.all():
+    if valid is not None:
         h, i, j = h[valid], i[valid], j[valid]
-    return np.bincount((h * n_bins + i) * n_bins + j,
-                       minlength=n_bins ** 3).reshape(n_bins, n_bins, n_bins)
+    code = h * n_bins
+    code += i
+    code *= n_bins
+    code += j
+    return np.bincount(code, minlength=n_bins ** 3).reshape(n_bins, n_bins, n_bins)
 
 
 def _markov_distance(c3: np.ndarray, min_cell: int) -> tuple[float, int]:
@@ -272,8 +280,11 @@ def markov_test(series: ParamSeries, n_bins: int = 20, lag: int = 1,
         raise SeriesTooShort(f"series of length {n} too short for the "
                              f"{n_bins}-bin Markov test")
     _, idx = _bin_index(series.values, n_bins)
-    prefix = _gap_prefix(series)
-    valid = (prefix[2 * lag:] - prefix[:-2 * lag]) == 0
+    valid, m = None, n - 2 * lag
+    if series.gaps.size:
+        prefix = _gap_prefix(series)
+        valid = (prefix[2 * lag:] - prefix[:-2 * lag]) == 0
+        m = int(valid.sum())
 
     distance, n_cells = _markov_distance(
         _triple_counts(idx, valid, n_bins, lag), min_cell_count)
@@ -282,7 +293,6 @@ def markov_test(series: ParamSeries, n_bins: int = 20, lag: int = 1,
             f"no conditioning cell reaches {min_cell_count} events")
 
     rng = np.random.default_rng(seed)
-    m = int(valid.sum())
     p = np.bincount(idx, minlength=n_bins) / n
     stats = np.empty(n_surrogates)
     for k in range(n_surrogates):

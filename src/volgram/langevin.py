@@ -67,18 +67,19 @@ def simulate_langevin(spec: LangevinSpec) -> ParamSeries:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_steps
-    noise = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
     dt = spec.dt
     slope, fp = float(spec.drift_slope), float(spec.fixed_point)
     scale = math.sqrt(2.0 * spec.diffusion * dt)
     x = float(spec.initial)
     path = np.empty(n)
     path[0] = x
-    # the noise goes to Python floats one slice at a time, so the loop
-    # holds at most _NOISE_SLICE of them next to the float64 path
+    # the noise is drawn and turned into Python floats one slice at a
+    # time, so the loop holds at most _NOISE_SLICE of them next to the
+    # float64 path; standard_normal reads the bit stream value by value,
+    # so the slices are the values of one draw of n - 1
     for start in range(0, n - 1, _NOISE_SLICE):
-        for i, xi in enumerate(noise[start:start + _NOISE_SLICE].tolist(),
-                               start + 1):
+        noise = rng.standard_normal(min(_NOISE_SLICE, n - 1 - start))
+        for i, xi in enumerate(noise.tolist(), start + 1):
             x += slope * (x - fp) * dt + scale * xi
             path[i] = x
     return ParamSeries(values=path, dt=dt)
@@ -92,7 +93,8 @@ def add_measurement_noise(series: ParamSeries, sigma_m: float,
     if sigma_m == 0.0:
         return series
     rng = np.random.default_rng(seed)
-    noisy = series.values + rng.normal(0.0, sigma_m, size=len(series))
+    noisy = rng.normal(0.0, sigma_m, size=len(series))
+    noisy += series.values
     return ParamSeries(values=noisy, dt=series.dt, gaps=series.gaps.copy())
 
 

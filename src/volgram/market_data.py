@@ -9,7 +9,9 @@ entries are dropped, and the remaining values are normalized by their
 cross-sectional mean.  Parsing keeps only the last quote of each window
 and company as it reads, so memory grows with windows times companies,
 not with rows.  Each JSON format has one writer (``*_to_dict``) and
-one check (``*_from_dict``).
+one check (``*_from_dict``).  A series file, megabytes long, is written
+a block of values at a time and read with its values array decoded in
+slices straight into float64.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, time, timezone
 from pathlib import Path
@@ -39,6 +42,10 @@ SESSION_CLOSE = time(16, 0)
 
 _INGEST_CHUNK_BYTES = 4 << 20   # data-row bytes that one ingest task parses
 _TS_CACHE_SIZE = 256            # parsed timestamp texts kept at a time
+_SLICE_BYTES = 1 << 16          # series file bytes decoded at a time
+_BLOCK_VALUES = 1 << 16         # series values written at a time
+_VALUES_KEY = re.compile(rb'"values"[ \t\n\r]*:[ \t\n\r]*\[')
+_NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
 
 
 class QuoteRecord(NamedTuple):
@@ -513,10 +520,27 @@ def fitted_series(rows: list[dict], model, param: str = "phi") -> ParamSeries:
                        gaps=np.asarray(gaps, dtype=int))
 
 
-def series_to_dict(series: ParamSeries) -> dict:
+def _series_doc(series: ParamSeries, values: list) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "param-series",
-            "dt": series.dt, "values": series.values.tolist(),
-            "gaps": series.gaps.tolist()}
+            "dt": series.dt, "values": values, "gaps": series.gaps.tolist()}
+
+
+def series_to_dict(series: ParamSeries) -> dict:
+    return _series_doc(series, series.values.tolist())
+
+
+def write_series_json(series: ParamSeries, fh) -> None:
+    """Write ``strict_dumps(series_to_dict(series))`` and a newline to a
+    text stream, converting ``_BLOCK_VALUES`` values at a time."""
+    head, key, tail = strict_dumps(_series_doc(series, [])).partition(
+        '"values": [')
+    fh.write(head + key)
+    for start in range(0, series.values.size, _BLOCK_VALUES):
+        if start:
+            fh.write(", ")
+        fh.write(strict_dumps(series.values[start:start + _BLOCK_VALUES]
+                              .tolist())[1:-1])
+    fh.write(tail + "\n")
 
 
 def series_from_dict(d: dict) -> ParamSeries:
@@ -526,11 +550,78 @@ def series_from_dict(d: dict) -> ParamSeries:
                        gaps=d.get("gaps", []))
 
 
+def _small_int(text: str) -> int:
+    """``int(text)``, refused above 2**53 in size, where one element's
+    float64 may differ from what ``np.asarray`` makes of the whole list
+    (an object array for ``[0.5, 10**20]``)."""
+    value = int(text)
+    if abs(value) > 2**53:
+        raise ValueError(f"integer {text} too large to slice")
+    return value
+
+
+_ELEMENTS = json.JSONDecoder(parse_int=_small_int)
+
+
+def _sliced_series(path) -> ParamSeries | None:
+    """The series of a parameter-series file, its one ``"values"`` array
+    decoded ``_SLICE_BYTES`` at a time into a float64 array, or None
+    where that could differ from ``_decode`` of the whole text.
+
+    It declines unless ``"values"`` occurs once in the file, as the key
+    of an array of only number characters, commas and JSON whitespace,
+    the rest of the file holds no backslash (so no escaped key also reads
+    "values"), the rest with the array emptied decodes to an object whose
+    "values" is that empty array, and the elements number one more than
+    the commas.  A decode or check error also declines, so that
+    ``_decode`` of the whole text raises it as before.
+    """
+    data = Path(path).read_bytes()
+    key = data.find(b'"values"')
+    if key < 0 or data.find(b'"values"', key + 1) >= 0:
+        return None
+    opening = _VALUES_KEY.match(data, key)
+    end = data.find(b"]", opening.end()) if opening else -1
+    if (end < 0 or data.find(b"\\", 0, key) >= 0
+            or data.find(b"\\", end) >= 0):
+        return None
+    values = np.empty(data.count(b",", opening.end(), end) + 1)
+    n = 0
+    start = opening.end()
+    try:
+        # a slice of the whole span would copy it: cut one piece at a time
+        while start < end:
+            cut = data.find(b",", min(start + _SLICE_BYTES, end), end)
+            cut = end if cut < 0 else cut
+            piece = data[start:cut]
+            if piece.translate(None, _NUMBER_BYTES):
+                return None
+            chunk = _ELEMENTS.decode(f"[{piece.decode('ascii')}]")
+            values[n:n + len(chunk)] = chunk
+            n += len(chunk)
+            start = cut + 1
+        rest = (data[:opening.end()] + data[end:]).decode("utf-8")
+        del data
+        rest = json.loads(rest)
+        if (n != values.size or not isinstance(rest, dict)
+                or rest.get("values") != []):
+            return None
+        rest["values"] = values
+        return series_from_dict(rest)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError, DomainError):
+        return None
+
+
 def read_series(path) -> ParamSeries:
-    """The checked series of a parameter-series JSON file."""
+    """The checked series of a parameter-series JSON file; one that
+    ``_sliced_series`` declines is decoded as one text."""
     with reading(path):
-        return _decode(Path(path).read_text(encoding="utf-8"),
-                       series_from_dict, path)
+        series = _sliced_series(path)
+        if series is None:
+            series = _decode(Path(path).read_text(encoding="utf-8"),
+                             series_from_dict, path)
+        return series
 
 
 def strict_dumps(obj) -> str:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import volgram
-from volgram.cli import _pool_size, _worker_map, emit_plotdata, main
+from volgram.cli import (_pool_size, _worker_map, build_parser, emit_plotdata,
+                         main)
 from volgram.kramers_moyal import (ParamSeries, conditional_moments,
                                    km_estimate)
 from volgram.market_data import SnapshotWindow, write_windows_jsonl
@@ -806,7 +807,7 @@ def test_worker_map_counts_chunks_and_keeps_order(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    monkeypatch.setattr("volgram.cli.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     assert list(_worker_map(64)(abs, range(-100, 0))) == list(range(100, 0, -1))
     assert started == [4]                   # by the CPUs
     assert most == [8]                      # two tasks per worker
@@ -941,6 +942,8 @@ def test_series_dt_not_above_zero_is_data_error(tmp_path, capsys, stage, dt):
     ["simulate", "market", "--drift-slope", "nan"],
     ["simulate", "market", "--initial", "nan"],
     ["simulate", "market", "--fixed-point", "inf"],
+    ["simulate", "langevin", "--drift-slope", "-inf"],
+    ["simulate", "market", "--initial", "-INF"],
     ["fit", "--jobs", "-3"],
     ["pipeline", "--markov-bins", "0"],
 ], ids=" ".join)
@@ -960,6 +963,15 @@ def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith(f"usage error: argument {argv[-2]}: must be ")
     assert "Traceback" not in err
     assert not output.exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-2e-2", -0.02), ("-1e-6", -1e-6), ("-.5e3", -500.0), ("-2E+2", -200.0),
+    ("-3", -3.0), ("-0.25", -0.25)])
+def test_negative_decimal_and_exponent_numbers_are_values(text, value):
+    args = build_parser().parse_args(
+        ["simulate", "langevin", "--output", "x.json", "--drift-slope", text])
+    assert args.drift_slope == value
 
 
 def test_fit_parallel_matches_serial(tmp_path):
@@ -1021,6 +1033,14 @@ def test_import_volgram_loads_no_numpy():
     done = _child("import sys, volgram; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a pooled stage starts one; km, markov and simulate never do
+    done = _child("import sys, volgram.cli; print(sorted(m for m in sys.modules"
+                  " if m.startswith(('multiprocessing', 'concurrent'))))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_package_names_are_their_home_module_objects():

@@ -1,6 +1,8 @@
 """Conditional moments, drift/diffusion extraction, noise amplitude,
 and the Markov property test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,50 @@ def test_gap_increments_never_used():
 def test_series_dt_must_be_finite_and_positive(dt):
     with pytest.raises(DomainError, match="dt must be a finite number above 0"):
         ParamSeries(values=[0.9, 0.91, 0.92], dt=dt)
+
+
+def _masked_sums(series, n_bins, tau_max):
+    """Counts and moment sums of each tau through a gap mask that keeps
+    every increment: the gapped path of conditional_moments."""
+    v = series.values
+    _, idx = _bin_index(v, n_bins)
+    sums = []
+    for tau in range(1, tau_max + 1):
+        valid = np.ones(v.size - tau, dtype=bool)
+        b, inc = idx[:-tau][valid], (v[tau:] - v[:-tau])[valid]
+        sums.append((np.bincount(b, minlength=n_bins),
+                     np.bincount(b, weights=inc, minlength=n_bins),
+                     np.bincount(b, weights=inc * inc, minlength=n_bins)))
+    return sums
+
+
+def test_gap_free_moments_equal_the_masked_form():
+    series = _ou(20_000, seed=23)
+    mom = conditional_moments(series, n_bins=30, tau_max=4, min_count=1)
+    sums = _masked_sums(series, 30, 4)
+    kept = np.min([cnt for cnt, _, _ in sums], axis=0) >= 1
+    for j, (cnt, s1, s2) in enumerate(sums):
+        assert np.array_equal(mom.counts[:, j], cnt[kept])
+        assert mom.m1[:, j].tobytes() == (s1[kept] / cnt[kept]).tobytes()
+        assert mom.m2[:, j].tobytes() == (s2[kept] / cnt[kept]).tobytes()
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda s: conditional_moments(s, n_bins=50, tau_max=5, min_count=1000),
+    lambda s: markov_test(s, n_bins=40, seed=1),
+], ids=["conditional_moments", "markov_test"])
+def test_gap_free_series_takes_two_work_arrays(estimate):
+    # one bin index and one increment or triple code per value; the gap
+    # masks and their copies took 3 to 5 arrays more
+    n = 500_000
+    series = _ou(n, seed=24)
+    tracemalloc.start()
+    try:
+        estimate(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + 2**20
 
 
 def test_noise_sigma_on_constant_plus_noise():

@@ -15,16 +15,18 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volgram import market_data
 from volgram.distributions import ModelKind
 from volgram.errors import (AllWindowsFiltered, EmptyInput, MalformedLine,
-                            MissingColumn, TooManyMalformed)
-from volgram.market_data import (QuoteRecord, build_windows, parse_quotes,
-                                 read_windows_jsonl, window_from_dict,
-                                 window_to_dict, write_windows_jsonl)
+                            MissingColumn, TooManyMalformed, reading)
+from volgram.market_data import (ParamSeries, QuoteRecord, build_windows,
+                                 parse_quotes, read_series, read_windows_jsonl,
+                                 series_to_dict, strict_dumps, window_from_dict,
+                                 window_to_dict, write_series_json,
+                                 write_windows_jsonl)
 
 NY = ZoneInfo("America/New_York")
 
@@ -669,3 +671,130 @@ def test_ingest_memory_does_not_grow_with_rows(tmp_path):
     assert parsed.n_records == 50_000
     assert [w.n_companies for w in built.windows] == [20, 20]
     assert peak < 1_000_000
+
+
+# -- parameter-series files ------------------------------------------------
+
+def _whole_text_series(path) -> ParamSeries:
+    """The series file decoded as one text: the reference of read_series."""
+    with reading(path):
+        return market_data._decode(Path(path).read_text(encoding="utf-8"),
+                                   market_data.series_from_dict, path)
+
+
+def _series_outcome(read, path):
+    """A read's values bit for bit, dt and gaps, or its error type and
+    message."""
+    try:
+        series = read(path)
+    except Exception as err:  # the error is part of the outcome
+        return type(err), str(err)
+    return (series.values.dtype, series.values.tobytes(), series.dt,
+            series.gaps.tolist())
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n", "\r", "\r\n"])
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-2**60, 2**60).map(str),
+                    st.sampled_from(["-0.0", "-0", "5e-324", "1E5", "1e-400",
+                                     "-2.2250738585072014e-308", "0.5e+3"]))
+_ODD_SPACE = st.sampled_from(["\x0b", "\x0c", "\u00a0"])
+_ODD_ELEMENT = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["1e999", "-1e999", ".5", "01", "1.", "+1", "--1", "true",
+                     "false", "null", "NaN", '"1.5"', "[1]", "", ",",
+                     "1" * 400]))
+_FIELDS = ['"format_version": 1', '"kind": "param-series"', '"dt": 1.0',
+           '"gaps": [0]']
+_ODD_FIELD = st.sampled_from([
+    '"format_version": 2', '"dt": 0', '"times": [0, 1]',
+    '"kind": "\\"values\\": [7.5]"', '"note": "values"',
+    '"values": [2.5, 3.5]', '"\\u0076alues": [4.5, 5.5]',
+    '"\\u0076alues": []', '"nested": {"values": [6.5, 7.5]}'])
+
+
+@st.composite
+def _series_texts(draw) -> bytes:
+    """Series files, about half of them valid, near the shape the slicer
+    reads: a values array of number tokens among other fields.  One time
+    in eight each, a file gets whitespace JSON does not allow, an odd
+    element, an odd field (a duplicate, escaped or nested key, a key
+    inside a string), a cut, a byte order mark or a byte that is not
+    UTF-8."""
+    def odd():
+        return draw(st.integers(0, 7)) == 0
+    spaces = [draw(_SPACE) for _ in range(6)]
+    if odd():
+        spaces[draw(st.integers(0, 5))] = draw(_ODD_SPACE)
+    elements = draw(st.lists(_NUMBER, max_size=12))
+    if odd():
+        elements.insert(draw(st.integers(0, len(elements))), draw(_ODD_ELEMENT))
+    sep = f"{spaces[0]},{spaces[1]}"
+    fields = [f for f in _FIELDS if draw(st.integers(0, 7))]
+    if odd():
+        fields.append(draw(_ODD_FIELD))
+    fields.insert(draw(st.integers(0, len(fields))),
+                  f'"values"{spaces[2]}:{spaces[3]}[{spaces[4]}'
+                  f'{sep.join(elements)}{spaces[5]}]')
+    data = f'{spaces[1]}{{{", ".join(fields)}}}{spaces[0]}'.encode("utf-8")
+    if odd():
+        data = data[:draw(st.integers(0, len(data)))]
+    if odd():
+        data = draw(st.sampled_from([b"\xef\xbb\xbf", b"\xff"])) + data
+    return data
+
+
+@given(data=_series_texts(), slice_bytes=st.integers(1, 48))
+@example(data=b'{"values": [1.5, 2.5], "\\u0076alues": []}', slice_bytes=48)
+@example(data=b'{"values": [1.5, 2.5], "values": []}', slice_bytes=48)
+@example(data=b'{"nested": {"values": [1.5, 2.5]}}', slice_bytes=48)
+@example(data=b'{"values": [1.5, 2.5,]}', slice_bytes=1)
+@example(data=b'{"values": [1.5, , 2.5]}', slice_bytes=1)
+@example(data=b'{"values": [1.5, true]}', slice_bytes=48)
+@example(data=b'{"values": [1.5, "2.5"]}', slice_bytes=48)
+@example(data=b'{"values": [0.5, 100000000000000000000]}', slice_bytes=48)
+@settings(max_examples=400, deadline=None)
+def test_read_series_equals_the_whole_text_decode(tmp_path_factory, data,
+                                                  slice_bytes):
+    path = tmp_path_factory.mktemp("series") / "series.json"
+    path.write_bytes(data)
+    with patch.object(market_data, "_SLICE_BYTES", slice_bytes):
+        assert (_series_outcome(read_series, path)
+                == _series_outcome(_whole_text_series, path))
+
+
+@pytest.mark.parametrize("values, gaps", [
+    ([-0.0, 5e-324, 1e300, -1e-300, 0.93], [1, 3]),
+    (np.linspace(-1.0, 1.0, 2**16 + 1) ** 3, [0, 2**16 - 1]),
+    (np.arange(2**16, dtype=float) / 7.0, []),
+    ([1.5], []),
+], ids=["specials", "two-blocks", "one-block", "one-value"])
+def test_series_writer_writes_the_strict_dumps_bytes(tmp_path, values, gaps):
+    series = ParamSeries(values=np.asarray(values, dtype=float), dt=0.25,
+                         gaps=np.asarray(gaps, dtype=int))
+    buf = io.StringIO()
+    write_series_json(series, buf)
+    assert buf.getvalue() == strict_dumps(series_to_dict(series)) + "\n"
+    path = tmp_path / "series.json"
+    path.write_text(buf.getvalue())
+    back = read_series(path)
+    assert back.values.tobytes() == series.values.tobytes()
+    assert back.gaps.tolist() == gaps and back.dt == 0.25
+
+
+def test_read_series_holds_the_file_and_one_float64_copy(tmp_path):
+    # a 5e5-step file of 20-byte numbers: the text and the list of Python
+    # floats of a whole-text decode peaked at about 26 MB
+    n = 500_000
+    values = np.random.default_rng(5).normal(0.93, 0.01, n)
+    path = tmp_path / "series.json"
+    path.write_text(strict_dumps(series_to_dict(ParamSeries(values=values))))
+    assert market_data._sliced_series(path) is not None
+    tracemalloc.start()
+    try:
+        series = read_series(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.values.tobytes() == values.tobytes()
+    assert peak < path.stat().st_size + 8 * n + 2**21
